@@ -1,8 +1,9 @@
 (* Live-I/O throughput benchmark -> BENCH_net.json.
 
-   Three angles on the wire path, mirroring BENCH_sim.json's policy
-   (wall-clock best of 3, committed baseline measured at the pre-refactor
-   commit on the same host):
+   Every row is repeated [--repeats k] times (default 5) and reports the
+   median and quartiles of its timed figures; the committed pump
+   baselines were measured at the pre-refactor commit on the same host.
+   The angles on the wire path:
 
    - loopback_frames: encode->send->poll->decode pipeline through the
      in-process loopback transport, zero delay, batched pump. Measures
@@ -14,12 +15,19 @@
      pre-refactor path paid one write(2) per frame; the batched path
      coalesces a whole pump iteration into one write.
 
-   - grants_per_s: end-to-end live loopback clusters (closed-loop
-     binsearch/ring) at small unit scale — the protocol-visible number
-     the wire path ultimately serves.
+   - grants_vs_n: the cost of one live hop as N grows — a self-hosted
+     UDS ring (one frame per grant) on epoll, one shard, closed loop,
+     reported as grants/s and ns per hop, plus the ratio of the largest
+     N's ns/hop to the smallest's.
+
+   - live_scaling, syscall_floor, wait_cost: readiness backends vs N,
+     the I/O mechanisms' syscalls per grant, and the cost of one
+     readiness wait vs registered fds (see EXPERIMENTS.md).
 
    Allocation rates come from Gc.quick_stat deltas around the timed
-   section (minor+major words per frame). *)
+   section (minor+major words per frame). Syscall rows carry the
+   transport's own read+write counters beside the kernel's count of the
+   same calls ([syscr + syscw] from /proc/self/io, null off Linux). *)
 
 module Clock = Tr_net_rt.Clock
 module Transport = Tr_net_rt.Transport
@@ -32,16 +40,80 @@ module Quantile = Tr_stats.Quantile
 
 let quick = Array.exists (String.equal "--quick") Sys.argv
 
-let best_of reps f =
-  let rec go best left =
-    if left = 0 then best
-    else begin
-      let t0 = Unix.gettimeofday () in
-      f ();
-      go (Stdlib.min best (Unix.gettimeofday () -. t0)) (left - 1)
-    end
+let repeats =
+  let rec find = function
+    | "--repeats" :: k :: _ -> (
+        match int_of_string_opt k with
+        | Some k when k >= 1 -> k
+        | _ -> failwith "net_bench: --repeats wants a positive integer")
+    | _ :: rest -> find rest
+    | [] -> 5
   in
-  go infinity reps
+  find (Array.to_list Sys.argv)
+
+let fi = float_of_int
+
+let sample xs =
+  let q = Quantile.create () in
+  Quantile.add_many q xs;
+  q
+
+let median xs = Quantile.median (sample xs)
+
+(* ["name": median, "name_q1": q1, "name_q3": q3] over a row's repeats. *)
+let spread ?(digits = 0) name xs =
+  let q = sample xs in
+  Printf.sprintf {|"%s": %.*f, "%s_q1": %.*f, "%s_q3": %.*f|} name digits
+    (Quantile.median q) name digits (Quantile.quantile q 0.25) name digits
+    (Quantile.quantile q 0.75)
+
+(* As [spread], or null when any repeat lacks the figure. *)
+let spread_opt ?digits name xs =
+  if List.mem None xs then Printf.sprintf {|"%s": null|} name
+  else spread ?digits name (List.filter_map Fun.id xs)
+
+(* The "key: value" lines of a /proc file; [] off Linux. *)
+let proc_fields path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text ->
+      List.filter_map
+        (fun line ->
+          match String.index_opt line ':' with
+          | Some i ->
+              Some
+                ( String.trim (String.sub line 0 i),
+                  String.trim
+                    (String.sub line (i + 1) (String.length line - i - 1)) )
+          | None -> None)
+        (String.split_on_char '\n' text)
+
+(* [syscr + syscw] from /proc/self/io: every read- and write-type
+   syscall this process made, as the kernel counts them. *)
+let kernel_rw () =
+  let fields = proc_fields "/proc/self/io" in
+  let get k = Option.bind (List.assoc_opt k fields) int_of_string_opt in
+  match (get "syscr", get "syscw") with
+  | Some r, Some w -> Some (r + w)
+  | _ -> None
+
+(* The host the rows were measured on, for the report header. *)
+let cpu_model () =
+  List.assoc_opt "model name" (proc_fields "/proc/cpuinfo")
+  |> Option.value ~default:"unknown"
+
+(* [repeats] rounds over [cases], one run of each per round, so the
+   host's speed drift lands on every case alike. Returns each case's
+   runs, in case order. *)
+let round_robin cases run =
+  let rounds = List.init repeats (fun k -> List.map (run k) cases) in
+  List.mapi (fun i _ -> List.map (fun round -> List.nth round i) rounds) cases
+
+(* Wall seconds of [f ()]. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
 
 (* Words allocated by [f ()] (minor + major), and its result. *)
 let alloc_words f =
@@ -151,33 +223,11 @@ let pump_uds ~total () =
       counters)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end live clusters: grants/s vs N                             *)
-(* ------------------------------------------------------------------ *)
-
-let grants_case ~protocol ~n ~grants =
-  let config =
-    {
-      (Cluster.default_config ~n ~seed:42) with
-      unit_s = 1e-4;
-      load = Cluster.Closed_loop { depth = 2 };
-      stop = Cluster.Grants grants;
-      max_wall_s = 60.0;
-    }
-  in
-  let report = Cluster.run_packed config (Codecs.find_exn protocol) in
-  if report.Cluster.decode_errors > 0 then
-    failwith
-      (Printf.sprintf "net_bench: %s n=%d live decode errors" protocol n);
-  report
-
-(* ------------------------------------------------------------------ *)
-(* Live scaling: UDS grants/s vs N per readiness backend               *)
+(* Self-hosted UDS ring runs                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* One socket ring hosted in this process (every node owned, one shard),
-   closed-loop depth 1, under a forced readiness backend. These rows are
-   single-shot, not best-of-3: a run is seconds long and its throughput
-   is an average over ~10^4..10^6 grants already. *)
+   closed-loop depth 1, under a forced readiness backend. *)
 let scaling_config ~n ~readiness ~stop ~max_wall_s =
   {
     (Cluster.default_config ~n ~seed:42) with
@@ -189,46 +239,102 @@ let scaling_config ~n ~readiness ~stop ~max_wall_s =
     readiness;
   }
 
-let scaling_row ~readiness ~procs ~n ~grants ~wall_s ~resp_p99 ~wait_calls
-    ~fds_registered ~avg_ready =
-  Printf.sprintf
-    {|    { "protocol": "ring", "n": %d, "readiness": %S, "procs": %d,
-      "load": "closed:1", "grants": %d, "wall_s": %.3f, "grants_per_s": %.0f,
-      "resp_p99_units": %.3f, "wait_calls": %d, "fds_registered": %d,
-      "avg_ready_per_wait": %s }|}
-    n readiness procs grants wall_s
-    (float_of_int grants /. Float.max 1e-9 wall_s)
-    resp_p99 wait_calls fds_registered
-    (match avg_ready with
-    | None -> "null"
-    | Some a -> Printf.sprintf "%.2f" a)
-
-let scaling_case ~backend ~n ~grants =
+(* One run of [config], with the kernel's read+write syscall count over
+   it (nothing else in this process does I/O meanwhile). *)
+let ring_run ~what ~n config =
   with_temp_dir (fun dir ->
-      Format.eprintf "live uds ring n=%d %s (%d grants)...@." n
-        (Readiness.backend_name backend)
-        grants;
       let addrs = Transport.uds_addrs ~dir ~n in
-      let config =
-        scaling_config ~n ~readiness:(Some backend)
-          ~stop:(Cluster.Grants grants)
-          ~max_wall_s:300.0
-      in
+      let k0 = kernel_rw () in
       let r =
         Cluster.run_packed
           ~backend:(Cluster.Sockets { owned = List.init n Fun.id; addrs })
           config (Codecs.find_exn "ring")
       in
+      let kernel =
+        match (k0, kernel_rw ()) with
+        | Some a, Some b -> Some (b - a)
+        | _ -> None
+      in
       if r.Cluster.decode_errors > 0 then
-        failwith (Printf.sprintf "net_bench: uds n=%d live decode errors" n);
-      scaling_row
-        ~readiness:r.Cluster.readiness ~procs:1 ~n ~grants:r.Cluster.grants
-        ~wall_s:r.Cluster.wall_s
-        ~resp_p99:
-          (Quantile.quantile (Metrics.responsiveness_quantiles r.Cluster.metrics) 0.99)
-        ~wait_calls:r.Cluster.wait_calls
-        ~fds_registered:r.Cluster.fds_registered
-        ~avg_ready:(Some r.Cluster.avg_ready_per_wait))
+        failwith (Printf.sprintf "net_bench: %s n=%d decode errors" what n);
+      (r, kernel))
+
+let grants_per_s (r : Cluster.report) =
+  fi r.Cluster.grants /. Float.max 1e-9 r.Cluster.wall_s
+
+let per_grant (r : Cluster.report) x = fi x /. fi (Stdlib.max 1 r.Cluster.grants)
+
+(* ------------------------------------------------------------------ *)
+(* Per-hop cost vs N                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The ring sends one frame per grant, so wall time over frames sent is
+   the cost of one live hop (set-up and the first circulation's dials
+   included, amortised over the run). *)
+let hop_run ~n ~grants =
+  ring_run ~what:"grants vs n" ~n
+    (scaling_config ~n ~readiness:(Some Readiness.Epoll)
+       ~stop:(Cluster.Grants grants) ~max_wall_s:300.0)
+
+let ns_per_hop (r : Cluster.report) =
+  r.Cluster.wall_s *. 1e9 /. fi (Stdlib.max 1 r.Cluster.frames_sent)
+
+let hop_row ~n runs =
+  let r0 = fst (List.hd runs) in
+  Printf.sprintf
+    {|    { "protocol": "ring", "n": %d, "readiness": %S, "shards": 1,
+      "load": "closed:1", "grants": %d, "repeats": %d,
+      %s,
+      %s,
+      %s,
+      %s }|}
+    n r0.Cluster.readiness r0.Cluster.grants (List.length runs)
+    (spread "grants_per_s" (List.map (fun (r, _) -> grants_per_s r) runs))
+    (spread "ns_per_hop" (List.map (fun (r, _) -> ns_per_hop r) runs))
+    (spread ~digits:3 "counted_rw_syscalls_per_grant"
+       (List.map
+          (fun (r, _) ->
+            per_grant r (r.Cluster.read_syscalls + r.Cluster.write_syscalls))
+          runs))
+    (spread_opt ~digits:3 "kernel_rw_syscalls_per_grant"
+       (List.map (fun (r, k) -> Option.map (per_grant r) k) runs))
+
+(* ------------------------------------------------------------------ *)
+(* Live scaling: UDS grants/s vs N per readiness backend               *)
+(* ------------------------------------------------------------------ *)
+
+let scaling_row ~readiness ~procs ~n ~grants ~gps ~resp_p99 ~wait_calls
+    ~fds_registered ~avg_ready =
+  Printf.sprintf
+    {|    { "protocol": "ring", "n": %d, "readiness": %S, "procs": %d,
+      "load": "closed:1", "grants": %d, "repeats": %d, %s,
+      "resp_p99_units": %.3f, "wait_calls": %d, "fds_registered": %d,
+      "avg_ready_per_wait": %s }|}
+    n readiness procs grants repeats (spread "grants_per_s" gps) resp_p99
+    wait_calls fds_registered
+    (match avg_ready with
+    | None -> "null"
+    | Some a -> Printf.sprintf "%.2f" a)
+
+let scaling_run k (backend, n, grants) =
+  Format.eprintf "live uds ring n=%d %s (%d grants, round %d/%d)...@." n
+    (Readiness.backend_name backend)
+    grants (k + 1) repeats;
+  fst
+    (ring_run ~what:"uds" ~n
+       (scaling_config ~n ~readiness:(Some backend)
+          ~stop:(Cluster.Grants grants) ~max_wall_s:300.0))
+
+(* Counters and p99 are the first repeat's (they repeat to within a few
+   grants); throughput carries the spread. *)
+let scaling_case_row ~n runs =
+  let r = List.hd runs in
+  scaling_row ~readiness:r.Cluster.readiness ~procs:1 ~n ~grants:r.Cluster.grants
+    ~gps:(List.map grants_per_s runs)
+    ~resp_p99:
+      (Quantile.quantile (Metrics.responsiveness_quantiles r.Cluster.metrics) 0.99)
+    ~wait_calls:r.Cluster.wait_calls ~fds_registered:r.Cluster.fds_registered
+    ~avg_ready:(Some r.Cluster.avg_ready_per_wait)
 
 (* Beyond ~6.6k nodes a single process blows RLIMIT_NOFILE (20k here,
    un-raisable in this container: ~3 fds per self-hosted node), so the
@@ -236,80 +342,70 @@ let scaling_case ~backend ~n ~grants =
    slice and the per-process fd bill halves. Duration-stopped: grants
    are summed after the fact. *)
 let fleet_case ~procs ~n ~duration_units =
-  with_temp_dir (fun dir ->
-      Format.eprintf "live uds ring n=%d epoll fleet procs=%d (%.0f units)...@."
-        n procs duration_units;
-      let addrs = Transport.uds_addrs ~dir ~n in
-      let config =
-        scaling_config ~n ~readiness:(Some Readiness.Epoll)
-          ~stop:(Cluster.Duration duration_units)
-          ~max_wall_s:120.0
-      in
-      let members =
-        Cluster.run_fleet ~procs ~addrs config (Codecs.find_exn "ring")
-      in
-      if List.length members < procs then
-        failwith "net_bench: fleet child missing";
-      let sum f = List.fold_left (fun a m -> a + f m) 0 members in
-      let fmax f = List.fold_left (fun a m -> Float.max a (f m)) 0.0 members in
-      if sum (fun m -> m.Cluster.m_decode_errors) > 0 then
-        failwith "net_bench: fleet decode errors";
-      scaling_row ~readiness:"epoll" ~procs ~n
-        ~grants:(sum (fun m -> m.Cluster.m_grants))
-        ~wall_s:(fmax (fun m -> m.Cluster.m_wall_s))
-        ~resp_p99:(fmax (fun m -> m.Cluster.m_resp_p99))
-        ~wait_calls:(sum (fun m -> m.Cluster.m_wait_calls))
-        ~fds_registered:(sum (fun m -> m.Cluster.m_fds_registered))
-        ~avg_ready:None)
+  Format.eprintf "live uds ring n=%d epoll fleet procs=%d (%.0f units x %d)...@."
+    n procs duration_units repeats;
+  let config =
+    scaling_config ~n ~readiness:(Some Readiness.Epoll)
+      ~stop:(Cluster.Duration duration_units) ~max_wall_s:120.0
+  in
+  let one () =
+    with_temp_dir (fun dir ->
+        let addrs = Transport.uds_addrs ~dir ~n in
+        let members =
+          Cluster.run_fleet ~procs ~addrs config (Codecs.find_exn "ring")
+        in
+        if List.length members < procs then
+          failwith "net_bench: fleet child missing";
+        members)
+  in
+  let runs = List.init repeats (fun _ -> one ()) in
+  let sum f members = List.fold_left (fun a m -> a + f m) 0 members in
+  let fmax f members =
+    List.fold_left (fun a m -> Float.max a (f m)) 0.0 members
+  in
+  if List.exists (fun ms -> sum (fun m -> m.Cluster.m_decode_errors) ms > 0) runs
+  then failwith "net_bench: fleet decode errors";
+  let members = List.hd runs in
+  scaling_row ~readiness:"epoll" ~procs ~n
+    ~grants:(sum (fun m -> m.Cluster.m_grants) members)
+    ~gps:
+      (List.map
+         (fun ms ->
+           fi (sum (fun m -> m.Cluster.m_grants) ms)
+           /. Float.max 1e-9 (fmax (fun m -> m.Cluster.m_wall_s) ms))
+         runs)
+    ~resp_p99:(fmax (fun m -> m.Cluster.m_resp_p99) members)
+    ~wait_calls:(sum (fun m -> m.Cluster.m_wait_calls) members)
+    ~fds_registered:(sum (fun m -> m.Cluster.m_fds_registered) members)
+    ~avg_ready:None
 
 (* ------------------------------------------------------------------ *)
 (* Syscall floor: completion backend, spin-wait and the inproc path    *)
 (* ------------------------------------------------------------------ *)
 
-(* The PR6 epoll transport pays ~3 syscalls per grant on a closed ring
-   (one write, one read, one epoll_wait per hop). These rows measure
-   how far the completion backend (batched io_uring submissions, one
-   enter per wait), the adaptive spin window (a hit skips the blocking
-   enter; gated off loudly on single-CPU hosts) and the in-process
-   delivery path (co-hosted hops bypass the kernel, and a wait with
-   work already in hand elides the kernel visit entirely) push below
-   that floor, against an epoll baseline from the same harness. One
-   shard, all nodes self-hosted, like the live_scaling rows. Best of 2
-   runs per config: single-shot grants/s on a shared host carries
-   ~10-20% scheduling noise, which would swamp the baseline
-   comparison. The epoll row is the denominator for
-   [reduction_vs_baseline]. *)
-let floor_case ~label ~backend ~spin ~inproc ~n ~grants =
-  with_temp_dir (fun dir ->
-      Format.eprintf "syscall floor n=%d %s (%d grants, best of 2)...@." n
-        label grants;
-      let addrs = Transport.uds_addrs ~dir ~n in
-      let config =
-        {
-          (scaling_config ~n ~readiness:(Some backend)
-             ~stop:(Cluster.Grants grants)
-             ~max_wall_s:300.0)
-          with
-          spin;
-          inproc;
-        }
-      in
-      let one () =
-        let r =
-          Cluster.run_packed
-            ~backend:(Cluster.Sockets { owned = List.init n Fun.id; addrs })
-            config (Codecs.find_exn "ring")
-        in
-        if r.Cluster.decode_errors > 0 then
-          failwith
-            (Printf.sprintf "net_bench: syscall floor %s n=%d decode errors"
-               label n);
-        r
-      in
-      let a = one () in
-      let b = one () in
-      let best = if a.Cluster.wall_s <= b.Cluster.wall_s then a else b in
-      (label, spin, inproc, best))
+(* The epoll transport pays ~2 read/write syscalls plus about one
+   epoll_wait per grant on a closed ring. These rows measure how far the
+   completion backend (batched io_uring submissions, one enter per
+   wait), the adaptive spin window (a hit skips the blocking enter;
+   gated off loudly on single-CPU hosts) and the in-process delivery
+   path (co-hosted hops bypass the kernel, and a wait with work already
+   in hand elides the kernel visit entirely) push below that floor,
+   against an epoll baseline from the same harness. One shard, all
+   nodes self-hosted, like the live_scaling rows. The epoll row is the
+   denominator for [reduction_vs_baseline], taken between medians. *)
+let floor_run ~n ~grants k (label, backend, spin, inproc) =
+  Format.eprintf "syscall floor n=%d %s (%d grants, round %d/%d)...@." n label
+    grants (k + 1) repeats;
+  let config =
+    {
+      (scaling_config ~n ~readiness:(Some backend)
+         ~stop:(Cluster.Grants grants) ~max_wall_s:300.0)
+      with
+      spin;
+      inproc;
+    }
+  in
+  ring_run ~what:("syscall floor " ^ label) ~n config
 
 let floor_rows ~n ~grants =
   let cases =
@@ -329,35 +425,47 @@ let floor_rows ~n ~grants =
     |> List.filter (fun (_, b, _, _) -> Readiness.available b)
   in
   let runs =
-    List.map
-      (fun (label, backend, spin, inproc) ->
-        floor_case ~label ~backend ~spin ~inproc ~n ~grants)
+    List.map2
+      (fun (label, _, spin, inproc) runs -> (label, spin, inproc, runs))
       cases
+      (round_robin cases (floor_run ~n ~grants))
   in
+  let spg runs = List.map (fun (r, _) -> r.Cluster.syscalls_per_grant) runs in
+  let gps runs = List.map (fun (r, _) -> grants_per_s r) runs in
   match runs with
   | [] -> []
   | (_, _, _, base) :: _ ->
-      let base_spg = base.Cluster.syscalls_per_grant in
-      let base_gps =
-        float_of_int base.Cluster.grants /. Float.max 1e-9 base.Cluster.wall_s
-      in
+      let base_spg = median (spg base) and base_gps = median (gps base) in
       List.map
-        (fun (label, spin, inproc, (r : Cluster.report)) ->
-          let gps =
-            float_of_int r.Cluster.grants /. Float.max 1e-9 r.Cluster.wall_s
-          in
+        (fun (label, spin, inproc, runs) ->
+          let r = fst (List.hd runs) in
+          let med f = median (List.map (fun (r, _) -> fi (f r)) runs) in
           Printf.sprintf
             {|    { "config": %S, "n": %d, "readiness": %S, "spin": %b, "inproc": %b,
-      "grants": %d, "wall_s": %.3f, "grants_per_s": %.0f,
-      "syscalls_per_grant": %.3f, "wait_calls": %d, "sqes_submitted": %d,
-      "spin_hits": %d, "spin_misses": %d, "inproc_frames": %d,
+      "grants": %d, "repeats": %d, %s,
+      %s,
+      %s,
+      %s,
+      "wait_calls": %.0f, "sqes_submitted": %.0f,
+      "spin_hits": %.0f, "spin_misses": %.0f, "inproc_frames": %.0f,
       "reduction_vs_baseline": %.2f, "grants_per_s_vs_baseline": %.3f }|}
-            label n r.Cluster.readiness spin inproc r.Cluster.grants
-            r.Cluster.wall_s gps r.Cluster.syscalls_per_grant
-            r.Cluster.wait_calls r.Cluster.sqes_submitted r.Cluster.spin_hits
-            r.Cluster.spin_misses r.Cluster.inproc_frames
-            (base_spg /. Float.max 1e-9 r.Cluster.syscalls_per_grant)
-            (gps /. Float.max 1e-9 base_gps))
+            label n r.Cluster.readiness spin inproc r.Cluster.grants repeats
+            (spread "grants_per_s" (gps runs))
+            (spread ~digits:4 "syscalls_per_grant" (spg runs))
+            (spread ~digits:4 "counted_rw_syscalls_per_grant"
+               (List.map
+                  (fun (r, _) ->
+                    per_grant r (r.Cluster.read_syscalls + r.Cluster.write_syscalls))
+                  runs))
+            (spread_opt ~digits:4 "kernel_rw_syscalls_per_grant"
+               (List.map (fun (r, k) -> Option.map (per_grant r) k) runs))
+            (med (fun r -> r.Cluster.wait_calls))
+            (med (fun r -> r.Cluster.sqes_submitted))
+            (med (fun r -> r.Cluster.spin_hits))
+            (med (fun r -> r.Cluster.spin_misses))
+            (med (fun r -> r.Cluster.inproc_frames))
+            (base_spg /. Float.max 1e-9 (median (spg runs)))
+            (median (gps runs) /. Float.max 1e-9 base_gps))
         runs
 
 (* Demonstrate the select wall rather than assert it: a 512-node
@@ -386,7 +494,8 @@ let select_wall_probe () =
 (* Readiness wait cost: K idle registered fds + one hot one            *)
 (* ------------------------------------------------------------------ *)
 
-(* ns per wait with [k] idle socketpair read-ends registered plus one
+(* ns per wait (one time-boxed batch per repeat) with [k] idle
+   socketpair read-ends registered plus one
    holding an unread byte (level-triggered, so every wait reports
    exactly that fd). Isolates what one poll costs as the registration
    count grows — the number that separates O(registered) select/poll
@@ -421,9 +530,7 @@ let wait_cost_ns ~backend ~k =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int !iters *. 1e9
   in
-  let reps = if quick then 1 else 3 in
-  let rec best b left = if left = 0 then b else best (Float.min b (measure ())) (left - 1) in
-  let ns = best infinity reps in
+  let ns = List.init repeats (fun _ -> measure ()) in
   ignore hot_r;
   Array.iter
     (fun (r, w) ->
@@ -456,9 +563,9 @@ let wait_cost_rows () =
       Format.eprintf "wait cost %s K=%d...@." (Readiness.backend_name b) k;
       let ns = wait_cost_ns ~backend:b ~k in
       Printf.sprintf
-        {|    { "backend": %S, "fds_registered": %d, "fds_ready": 1, "ns_per_wait": %.0f }|}
+        {|    { "backend": %S, "fds_registered": %d, "fds_ready": 1, %s }|}
         (Readiness.backend_name b)
-        (k + 1) ns)
+        (k + 1) (spread "ns_per_wait" ns))
     combos
 
 (* ------------------------------------------------------------------ *)
@@ -466,8 +573,9 @@ let wait_cost_rows () =
 (* ------------------------------------------------------------------ *)
 
 (* Pre-refactor numbers, measured on this host at commit a628964 with
-   this harness (same totals, same best-of-3 policy, same container).
-   The old socket path issued one write(2) per frame by construction. *)
+   this harness (same totals, best-of-3 policy, same container); the
+   speedups divide the median of the repeats by them. The old socket
+   path issued one write(2) per frame by construction. *)
 type baseline = { frames_per_s : float; syscalls_per_frame : float option }
 
 let loopback_baseline =
@@ -475,9 +583,10 @@ let loopback_baseline =
 
 let uds_baseline = Some { frames_per_s = 992_474.0; syscalls_per_frame = Some 1.0 }
 
-let case_json ~name ~frames ~bytes ~wall_s ~words_per_frame ~syscalls
+let case_json ~name ~frames ~bytes ~walls ~words_per_frame ~syscalls
     ~(baseline : baseline option) =
-  let fps = float_of_int frames /. wall_s in
+  let fps_runs = List.map (fun w -> float_of_int frames /. w) walls in
+  let fps = median fps_runs in
   let base =
     match baseline with
     | None -> {|"baseline_frames_per_s": null, "speedup": null|}
@@ -500,10 +609,12 @@ let case_json ~name ~frames ~bytes ~wall_s ~words_per_frame ~syscalls
           (float_of_int r /. float_of_int frames)
   in
   Printf.sprintf
-    {|    { "case": %S, "frames": %d, "bytes": %d, "wall_s": %.4f,
-      "frames_per_s": %.0f, "alloc_words_per_frame": %.1f,
+    {|    { "case": %S, "frames": %d, "bytes": %d, "repeats": %d,
+      %s, "alloc_words_per_frame": %.1f,
       %s, %s }|}
-    name frames bytes wall_s fps words_per_frame sys base
+    name frames bytes (List.length walls)
+    (spread "frames_per_s" fps_runs)
+    words_per_frame sys base
 
 (* Per-stage breakdown of the loopback pipeline — run with --micro to
    see where a frame's nanoseconds go before reaching for a profiler. *)
@@ -579,7 +690,6 @@ let () =
     micro ();
     exit 0
   end;
-  let reps = if quick then 1 else 3 in
   let total = if quick then 20_000 else 2_000_000 in
   ignore (Readiness.raise_nofile ());
   (* The forked fleet must run before anything else: every in-process
@@ -589,64 +699,73 @@ let () =
     if quick then []
     else [ fleet_case ~procs:2 ~n:10_000 ~duration_units:150_000.0 ]
   in
-  Format.eprintf "timing loopback pump (%d frames)...@." total;
-  let loop_wall = best_of reps (fun () -> ignore (pump_loopback ~total ())) in
+  Format.eprintf "timing loopback pump (%d frames x %d)...@." total repeats;
+  let loop_walls =
+    List.init repeats (fun _ -> timed (fun () -> ignore (pump_loopback ~total ())))
+  in
   let (loop_frames, loop_bytes), loop_words =
     alloc_words (fun () -> pump_loopback ~total ())
   in
-  Format.eprintf "timing uds pump (%d frames)...@." total;
   let uds_total = if quick then 20_000 else 1_000_000 in
-  let uds_wall = best_of reps (fun () -> ignore (pump_uds ~total:uds_total ())) in
+  Format.eprintf "timing uds pump (%d frames x %d)...@." uds_total repeats;
+  let uds_walls =
+    List.init repeats (fun _ ->
+        timed (fun () -> ignore (pump_uds ~total:uds_total ())))
+  in
   let (uds_frames, uds_bytes, uds_writes, uds_reads), uds_words =
     alloc_words (fun () -> pump_uds ~total:uds_total ())
   in
-  let ns = if quick then [ 4 ] else [ 4; 8; 16 ] in
-  let grants = if quick then 200 else 2000 in
-  let grant_rows =
-    List.concat_map
-      (fun protocol ->
-        List.map
-          (fun n ->
-            Format.eprintf "live %s n=%d (%d grants)...@." protocol n grants;
-            let r = grants_case ~protocol ~n ~grants in
-            Printf.sprintf
-              {|    { "protocol": %S, "n": %d, "grants": %d, "wall_s": %.3f,
-      "grants_per_s": %.0f, "frames_per_grant": %.2f }|}
-              protocol n r.Cluster.grants r.Cluster.wall_s
-              (float_of_int r.Cluster.grants /. r.Cluster.wall_s)
-              (float_of_int r.Cluster.frames_sent
-              /. float_of_int (Stdlib.max 1 r.Cluster.grants)))
-          ns)
-      [ "ring"; "binsearch" ]
+  (* Per-hop cost vs N, and the ratio the O(1)-in-N goal is judged by:
+     ns/hop at the largest N over the smallest, against a 2x gate. The
+     runs go round-robin over N and the ratio is taken within each
+     round. *)
+  let hop_ns =
+    if quick then [ (16, 2_000); (64, 2_000) ]
+    else [ (64, 50_000); (1024, 100_000); (4096, 400_000) ]
+  in
+  let hop_runs =
+    round_robin hop_ns (fun k (n, grants) ->
+        Format.eprintf "grants vs n: uds ring n=%d epoll (%d grants, round %d/%d)...@."
+          n grants (k + 1) repeats;
+        hop_run ~n ~grants)
+  in
+  let hop_rows = List.map2 (fun (n, _) runs -> hop_row ~n runs) hop_ns hop_runs in
+  let hop_ratio =
+    let last l = List.nth l (List.length l - 1) in
+    Printf.sprintf {|{ "n_hi": %d, "n_lo": %d, %s, "gate": 2.0 }|}
+      (fst (last hop_ns)) (fst (List.hd hop_ns))
+      (spread ~digits:2 "ns_per_hop_ratio"
+         (List.map2
+            (fun (hi, _) (lo, _) -> ns_per_hop hi /. ns_per_hop lo)
+            (last hop_runs) (List.hd hop_runs)))
   in
   (* Live scaling sweep: forced backends where each can run at all.
      select is honest only up to N=256 (a 512-node self-hosted ring
      needs ~1537 fds and Unix.select EINVALs past FD_SETSIZE — probed
-     below and recorded verbatim). The N=4096 epoll row is the
-     million-grant acceptance run; N=10000 runs as a 2-process fleet. *)
+     below and recorded verbatim). N=10000 runs as a 2-process fleet. *)
+  let scaling_cases =
+    (if quick then
+       List.map (fun b -> (b, 64, 2_000))
+         [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+     else
+       [ (Readiness.Epoll, 64, 50_000);
+         (Readiness.Epoll, 256, 50_000);
+         (Readiness.Epoll, 1024, 50_000);
+         (Readiness.Epoll, 4096, 200_000);
+         (Readiness.Poll, 64, 50_000);
+         (Readiness.Poll, 256, 50_000);
+         (Readiness.Poll, 1024, 20_000);
+         (Readiness.Select, 64, 50_000);
+         (Readiness.Select, 256, 20_000);
+       ])
+    |> List.filter (fun (b, _, _) -> Readiness.available b)
+  in
   let scaling_rows =
-    if quick then
-      List.filter_map
-        (fun b ->
-          if Readiness.available b then
-            Some (scaling_case ~backend:b ~n:64 ~grants:2_000)
-          else None)
-        [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
-    else
-      List.map
-        (fun (b, n, grants) -> scaling_case ~backend:b ~n ~grants)
-        ([ (Readiness.Epoll, 64, 50_000);
-           (Readiness.Epoll, 256, 50_000);
-           (Readiness.Epoll, 1024, 50_000);
-           (Readiness.Epoll, 4096, 1_000_000);
-           (Readiness.Poll, 64, 50_000);
-           (Readiness.Poll, 256, 50_000);
-           (Readiness.Poll, 1024, 20_000);
-           (Readiness.Select, 64, 50_000);
-           (Readiness.Select, 256, 20_000);
-         ]
-        |> List.filter (fun (b, _, _) -> Readiness.available b))
-      @ fleet_rows
+    List.map2
+      (fun (_, n, _) runs -> scaling_case_row ~n runs)
+      scaling_cases
+      (round_robin scaling_cases scaling_run)
+    @ fleet_rows
   in
   let syscall_floor_rows =
     if quick then floor_rows ~n:64 ~grants:2_000
@@ -657,15 +776,16 @@ let () =
   let json =
     Printf.sprintf
       {|{
-  "host": { "cores": %d, "ocaml": %S },
+  "host": { "cores": %d, "cpus_online": %d, "cpu": %S, "ocaml": %S },
   "mode": %S,
-  "policy": "wall-clock best of %d; %d-frame loopback pump, %d-frame uds pump, batch %d; alloc from Gc.quick_stat deltas; live_scaling rows single-shot (seconds-long runs averaging 1e4..1e6 grants); wait_cost best of %d time-boxed batches",
+  "policy": "every row repeated %d times, median and quartiles (name_q1, name_q3) of its timed figures; %d-frame loopback pump, %d-frame uds pump, batch %d; alloc from Gc.quick_stat deltas; syscall rows give the transport's read+write counters beside the kernel's syscr+syscw over the same run; wait_cost one time-boxed batch per repeat",
   "cases": [
 %s
   ],
   "grants_vs_n": [
 %s
   ],
+  "hop_cost_vs_n": %s,
   "live_scaling": [
 %s
   ],
@@ -679,21 +799,22 @@ let () =
 }
 |}
       (Domain.recommended_domain_count ())
-      Sys.ocaml_version
+      (Readiness.ncpus ()) (cpu_model ()) Sys.ocaml_version
       (if quick then "quick" else "full")
-      reps total uds_total batch reps
+      repeats total uds_total batch
       (String.concat ",\n"
          [
            case_json ~name:"loopback_frames" ~frames:loop_frames
-             ~bytes:loop_bytes ~wall_s:loop_wall
+             ~bytes:loop_bytes ~walls:loop_walls
              ~words_per_frame:(loop_words /. float_of_int loop_frames)
              ~syscalls:None ~baseline:loopback_baseline;
            case_json ~name:"uds_frames" ~frames:uds_frames ~bytes:uds_bytes
-             ~wall_s:uds_wall
+             ~walls:uds_walls
              ~words_per_frame:(uds_words /. float_of_int uds_frames)
              ~syscalls:(Some (uds_writes, uds_reads)) ~baseline:uds_baseline;
          ])
-      (String.concat ",\n" grant_rows)
+      (String.concat ",\n" hop_rows)
+      hop_ratio
       (String.concat ",\n" scaling_rows)
       (String.concat ",\n" syscall_floor_rows)
       select_wall

@@ -85,6 +85,11 @@ let snapshot_of_stats s =
     snap_inproc_frames = Atomic.get s.inproc_frames;
   }
 
+type shard = {
+  wait_fn : timeout_s:float -> on_ready:(int -> unit) -> unit;
+  wake_fn : unit -> unit;
+}
+
 type t = {
   name : string;
   readiness : string;
@@ -94,12 +99,7 @@ type t = {
   send_frame : src:int -> dst:int -> delay:float -> Buffer.t -> unit;
   poll : owner:int -> upto:float -> (Frame.view -> unit) -> unit;
   next_due : owner:int -> float option;
-  wait :
-    owners:int list ->
-    extra_fds:Unix.file_descr list ->
-    timeout_s:float ->
-    on_ready:(int -> unit) ->
-    unit;
+  shard : owners:int list -> shard;
   close : unit -> unit;
 }
 
@@ -113,8 +113,12 @@ let send_frame t = t.send_frame
 let poll t ?(upto = infinity) ~owner f = t.poll ~owner ~upto f
 let next_due t = t.next_due
 
-let wait t ?(extra_fds = []) ?(on_ready = fun _ -> ()) ~owners ~timeout_s () =
-  t.wait ~owners ~extra_fds ~timeout_s ~on_ready
+let shard t ~owners = t.shard ~owners
+
+let wait sh ?(on_ready = fun _ -> ()) ~timeout_s () =
+  sh.wait_fn ~timeout_s ~on_ready
+
+let wake sh = sh.wake_fn ()
 
 let count_decode_error t = Atomic.incr t.stats.decode_errors
 let close t = t.close ()
@@ -210,8 +214,16 @@ module Loopback = struct
       settle node;
       Tr_sim.Pqueue.peek_time node.pending
     in
-    let wait ~owners:_ ~extra_fds:_ ~timeout_s ~on_ready:_ =
-      if timeout_s > 0.0 then Unix.sleepf (Float.min timeout_s max_wait_s)
+    (* Nothing to block on: a wait is a capped sleep, and a wake cannot
+       cut it short. *)
+    let shard ~owners =
+      List.iter (fun i -> check_node ~what:"shard owner" ~n i) owners;
+      {
+        wait_fn =
+          (fun ~timeout_s ~on_ready:_ ->
+            if timeout_s > 0.0 then Unix.sleepf (Float.min timeout_s max_wait_s));
+        wake_fn = ignore;
+      }
     in
     {
       name = "loopback";
@@ -222,7 +234,7 @@ module Loopback = struct
       send_frame;
       poll;
       next_due;
-      wait;
+      shard;
       close = (fun () -> ());
     }
 end
@@ -308,6 +320,7 @@ module Sockets = struct
     outs : (int, conn_out) Hashtbl.t;  (** Keyed by destination node id. *)
     readbuf : Bytes.t Lazy.t;  (** Untracked mode only; tracked reads share
                                    the shard set's buffer. *)
+    mutable claimed : bool;  (** Belongs to a {!shard} handle. *)
     mutable tracked : shard_set option;
     tracked_pub : shard_set option Atomic.t;
         (** [tracked], republished for cross-domain readers: in-process
@@ -322,20 +335,20 @@ module Sockets = struct
     ipc_queued : bool Atomic.t;  (** Queued in its shard's [ipc_pending]. *)
   }
 
-  (* One per waiting shard: either a readiness set all the shard's fds
-     are registered in (with the fd->peer index that turns a ready fd
-     back into work in O(1)), or a completion ring where the pending
-     operations themselves carry the peer (keyed through [utab]). *)
+  (* One per shard handle, built by its first wait: either a readiness
+     set all the shard's fds are registered in (with the fd->peer index
+     that turns a ready fd back into work in O(1)), or a completion ring
+     where the pending operations themselves carry the peer (keyed
+     through [utab]). *)
   and shard_set = {
     rd : rd_impl;
     fdx : (int, entry) Hashtbl.t;  (** Readiness mode only. *)
     sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
-    extra : (int, unit) Hashtbl.t;  (** Registered caller wake fds. *)
     selfwake : Wakeup.t;
-        (** Transport-owned wake pipe: in-process senders on other
-            domains write here to interrupt this shard's sleep. *)
+        (** The shard's one wake pipe: {!wake} callers and in-process
+            senders on other domains write here to interrupt its sleep. *)
     idle : bool Atomic.t;
         (** True only while blocked in the kernel — the Dekker flag of
             the in-process wake protocol: senders push the frame first,
@@ -346,7 +359,7 @@ module Sockets = struct
     mutable last_event : float;
     (* Completion mode state. *)
     mutable rearm_accepts : node list;  (** Accept arms to retry at wait. *)
-    wake_armed : (int, unit) Hashtbl.t;  (** Armed wake-fd polls. *)
+    mutable wake_armed : bool;  (** A poll on [selfwake] is in flight. *)
     mutable next_key : int;  (** Submission keys; 0 reserved. *)
     utab : (int, uent) Hashtbl.t;  (** In-flight op by submission key. *)
     mutable last_enters : int;
@@ -363,12 +376,21 @@ module Sockets = struct
 
   and rd_impl = Rdy of Readiness.t | Cmp of Completion.t
 
+  (* A shard handle. The wake pipe exists from creation, so a wake sent
+     before the shard's first wait is not lost: the pipe registers
+     level-triggered and that wait returns at once. The set itself is
+     built by that first wait, on the shard's own domain. *)
+  and handle = {
+    wakeup : Wakeup.t;
+    members : node list;
+    mutable hset : shard_set option;
+  }
+
   and entry =
     | Listener of node
     | In of node * conn_in
     | Out of node * conn_out
-    | Wake
-    | SelfWake of Wakeup.t
+    | SelfWake
 
   (* What an in-flight completion-mode submission was. *)
   and uent =
@@ -377,7 +399,7 @@ module Sockets = struct
     | U_pollin of node * conn_in
     | U_write of node * conn_out
     | U_pollout of node * conn_out
-    | U_wake of Unix.file_descr
+    | U_wake
 
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -560,9 +582,14 @@ module Sockets = struct
           in
           node.ins <- ci :: node.ins;
           (* Level-triggered registration: bytes that raced in before
-             this point still report readable on the next wait. *)
+             this point still report readable on the next wait. A dialer
+             writes as soon as it connects, so they usually have: mark
+             the connection ready so this same poll reads them. *)
           (match node.tracked with
-          | Some set -> reg stats set fd (In (node, ci)) ~read:true ~write:false
+          | Some set ->
+              reg stats set fd (In (node, ci)) ~read:true ~write:false;
+              ci.ready <- true;
+              node.ready_ins <- ci :: node.ready_ins
           | None -> ());
           go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
@@ -794,10 +821,9 @@ module Sockets = struct
     | Some ent -> (
         Hashtbl.remove set.utab key;
         match ent with
-        | U_wake fd ->
-            Hashtbl.remove set.wake_armed (fd_int fd);
-            if fd_int fd = fd_int (Wakeup.read_fd set.selfwake) then
-              Wakeup.drain set.selfwake
+        | U_wake ->
+            set.wake_armed <- false;
+            Wakeup.drain set.selfwake
         | U_accept node -> (
             node.accept_id <- 0;
             match Completion.classify res with
@@ -1012,6 +1038,7 @@ module Sockets = struct
               ins = [];
               outs = Hashtbl.create 4;
               readbuf = lazy (Bytes.create 65536);
+              claimed = false;
               tracked = None;
               tracked_pub = Atomic.make None;
               accept_ready = false;
@@ -1142,11 +1169,10 @@ module Sockets = struct
       | None -> poll_untracked stats node f
     in
     let next_due ~owner:_ = None in
-    (* Shard sets are created lazily by the first wait of each shard;
-       the list exists only so close can release the epoll fds. *)
-    let sets_mu = Mutex.create () in
-    let shard_sets = ref [] in
-    let make_set () =
+    (* The list exists only so close can release the pipes and sets. *)
+    let handles_mu = Mutex.create () in
+    let handles = ref [] in
+    let make_set selfwake =
       let rd =
         if cmp_mode then Cmp (Completion.create ())
         else Rdy (Readiness.create ~backend:rd_backend ())
@@ -1157,14 +1183,13 @@ module Sockets = struct
           fdx = Hashtbl.create 256;
           sbuf = Bytes.create 65536;
           retry_outs = [];
-          extra = Hashtbl.create 4;
-          selfwake = Wakeup.create ();
+          selfwake;
           idle = Atomic.make false;
           ipc_pending = Mailbox.create ();
           ewma_gap = 1e-3;
           last_event = Unix.gettimeofday ();
           rearm_accepts = [];
-          wake_armed = Hashtbl.create 4;
+          wake_armed = false;
           next_key = 1;
           utab = Hashtbl.create 256;
           last_enters = 0;
@@ -1176,12 +1201,9 @@ module Sockets = struct
          completion backend arms it lazily at each wait instead. *)
       (match set.rd with
       | Rdy _ ->
-          reg stats set (Wakeup.read_fd set.selfwake)
-            (SelfWake set.selfwake) ~read:true ~write:false
+          reg stats set (Wakeup.read_fd selfwake) SelfWake ~read:true
+            ~write:false
       | Cmp _ -> ());
-      Mutex.lock sets_mu;
-      shard_sets := set :: !shard_sets;
-      Mutex.unlock sets_mu;
       set
     in
     (* Move a node into a shard's readiness set. Registration is
@@ -1236,57 +1258,22 @@ module Sockets = struct
           end)
         node.outs
     in
-    let ensure_tracked owners =
-      let existing =
-        List.fold_left
-          (fun acc i ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match hosted.(i) with
-                | Some node -> node.tracked
-                | None -> None))
-          None owners
-      in
-      let set = match existing with Some s -> s | None -> make_set () in
-      List.iter
-        (fun i ->
-          match hosted.(i) with
-          | Some ({ tracked = None; _ } as node) -> track_node set node
-          | _ -> ())
-        owners;
-      set
-    in
-    (* Block in the shard's readiness set until an owner's fd is ready;
+    (* Block in the shard's readiness set until one of its fds is ready;
        each event is dispatched through the fd index and surfaced to the
        caller as an [on_ready owner] activation, so the shard loop knows
-       exactly which nodes to poll — no per-node scan at any point. *)
-    let wait ~owners ~extra_fds ~timeout_s ~on_ready =
-      List.iter (fun i -> check_node ~what:"wait owner" ~n i) owners;
-      let set = ensure_tracked owners in
+       exactly which nodes to poll. Nothing here walks the owner list:
+       the cost is O(ready) plus the retry and in-process queues. *)
+    let wait_set set ~timeout_s ~on_ready =
       (match set.rd with
-      | Rdy _ ->
-          List.iter
-            (fun fd ->
-              let key = fd_int fd in
-              if not (Hashtbl.mem set.extra key) then begin
-                Hashtbl.replace set.extra key ();
-                reg stats set fd Wake ~read:true ~write:false
-              end)
-            extra_fds
+      | Rdy _ -> ()
       | Cmp c ->
-          (* Wake fds (the shard's own pipe plus the caller's) ride as
-             one-shot polls; a completion unarms in dispatch and the
-             next wait re-arms here. *)
-          List.iter
-            (fun fd ->
-              let key = fd_int fd in
-              if not (Hashtbl.mem set.wake_armed key) then begin
-                Hashtbl.replace set.wake_armed key ();
-                let k = fresh_key set (U_wake fd) in
-                Completion.prep_poll c fd 1 k
-              end)
-            (Wakeup.read_fd set.selfwake :: extra_fds);
+          (* The wake pipe rides as a one-shot poll; its completion
+             unarms in dispatch and the next wait re-arms here. *)
+          if not set.wake_armed then begin
+            set.wake_armed <- true;
+            Completion.prep_poll c (Wakeup.read_fd set.selfwake) 1
+              (fresh_key set U_wake)
+          end;
           (* Listeners whose accept completed with a hard error retry
              here, once per wait, instead of respinning hot. *)
           if set.rearm_accepts <> [] then begin
@@ -1407,8 +1394,8 @@ module Sockets = struct
               Readiness.wait rd ~timeout_s:!timeout
                 (fun ~fd ~readable ~writable ->
                   match Hashtbl.find_opt set.fdx fd with
-                  | None | Some Wake -> ()
-                  | Some (SelfWake w) -> Wakeup.drain w
+                  | None -> ()
+                  | Some SelfWake -> Wakeup.drain set.selfwake
                   | Some (Listener node) ->
                       if readable then begin
                         node.accept_ready <- true;
@@ -1484,6 +1471,58 @@ module Sockets = struct
       end
       end
     in
+    (* The owner walk happens here, once: ranges, hosting and exclusive
+       membership are checked at creation, and the first wait adopts the
+       members, after which a wait never touches them again. *)
+    let shard ~owners =
+      let nodes =
+        List.map
+          (fun i ->
+            check_node ~what:"shard owner" ~n i;
+            let node = host ~what:"shard owner" i in
+            if node.claimed then
+              invalid_arg
+                (Printf.sprintf
+                   "Transport.shard: node %d already belongs to a shard" i);
+            node)
+          owners
+      in
+      (* Claim only once every owner passed: a refused handle holds
+         nothing. A repeated owner counts once. *)
+      let members =
+        List.filter
+          (fun node ->
+            let fresh = not node.claimed in
+            node.claimed <- true;
+            fresh)
+          nodes
+      in
+      let h =
+        {
+          wakeup =
+            Wakeup.create ~reads:stats.read_syscalls
+              ~writes:stats.write_syscalls ();
+          members;
+          hset = None;
+        }
+      in
+      Mutex.lock handles_mu;
+      handles := h :: !handles;
+      Mutex.unlock handles_mu;
+      let wait_fn ~timeout_s ~on_ready =
+        let set =
+          match h.hset with
+          | Some set -> set
+          | None ->
+              let set = make_set h.wakeup in
+              List.iter (track_node set) h.members;
+              h.hset <- Some set;
+              set
+        in
+        wait_set set ~timeout_s ~on_ready
+      in
+      { wait_fn; wake_fn = (fun () -> Wakeup.wake h.wakeup) }
+    in
     let close () =
       Array.iter
         (function
@@ -1499,17 +1538,18 @@ module Sockets = struct
               | Unix.ADDR_UNIX path -> unlink_quietly path
               | Unix.ADDR_INET _ -> ()))
         hosted;
-      Mutex.lock sets_mu;
-      let sets = !shard_sets in
-      shard_sets := [];
-      Mutex.unlock sets_mu;
+      Mutex.lock handles_mu;
+      let hs = !handles in
+      handles := [];
+      Mutex.unlock handles_mu;
       List.iter
-        (fun set ->
-          (match set.rd with
-          | Rdy rd -> Readiness.close rd
-          | Cmp c -> Completion.close c);
-          Wakeup.close set.selfwake)
-        sets
+        (fun h ->
+          (match h.hset with
+          | Some { rd = Rdy rd; _ } -> Readiness.close rd
+          | Some { rd = Cmp c; _ } -> Completion.close c
+          | None -> ());
+          Wakeup.close h.wakeup)
+        hs
     in
     let name =
       if n > 0 then
@@ -1527,7 +1567,7 @@ module Sockets = struct
       send_frame;
       poll;
       next_due;
-      wait;
+      shard;
       close;
     }
 end

@@ -31,14 +31,16 @@
     killing the process, and raises [RLIMIT_NOFILE] as far as the
     process may so high-N clusters don't trip the soft default.
 
-    {b Readiness.} Each shard's first {!wait} moves its nodes' fds into
-    a per-shard {!Readiness} set (epoll on Linux, poll elsewhere, select
-    as a forced baseline — see {!Readiness.backend}); fds register once
-    and every subsequent wait costs O(ready), not O(connections). Ready
-    events are dispatched through a persistent fd index and surfaced to
-    the caller as [on_ready owner] activations so the shard loop knows
-    exactly which nodes to poll. Nodes whose shard never waits (raw
-    bench pumps) keep the legacy scan-everything {!poll}. *)
+    {b Readiness.} A shard waits through a {!shard} handle that fixes
+    its owners once. The handle's first {!wait} moves those nodes' fds
+    into a per-shard {!Readiness} set (epoll on Linux, poll elsewhere,
+    select as a forced baseline — see {!Readiness.backend}); fds
+    register once and every subsequent wait costs O(ready), not
+    O(connections) or O(owners). Ready events are dispatched through a
+    persistent fd index and surfaced to the caller as [on_ready owner]
+    activations so the shard loop knows exactly which nodes to poll.
+    Nodes no handle ever waits for (raw bench pumps) keep the legacy
+    scan-everything {!poll}. *)
 
 type stats = {
   frames_sent : int Atomic.t;
@@ -60,9 +62,12 @@ type stats = {
           buffer reached (sockets only) — how close the run came to the
           4 MiB drop threshold, visible while it happens. *)
   write_syscalls : int Atomic.t;
-      (** [write(2)] calls issued (sockets only) — with batching this
-          stays well below [frames_sent]. *)
-  read_syscalls : int Atomic.t;  (** [read(2)] calls issued (sockets only). *)
+      (** [write(2)] calls issued (sockets only), wake-pipe writes
+          included — with batching this stays well below
+          [frames_sent]. *)
+  read_syscalls : int Atomic.t;
+      (** [read(2)] calls issued (sockets only), wake-pipe drains
+          included. *)
   wait_calls : int Atomic.t;
       (** {!wait} invocations that reached the kernel (sockets only). *)
   fds_ready : int Atomic.t;
@@ -155,9 +160,11 @@ val poll : t -> ?upto:float -> owner:int -> (Tr_wire.Frame.view -> unit) -> unit
     horizon in clock units (loopback only) so the caller can interleave
     timers and deliveries in due-time order; socket arrivals are
     physical and always due. Once [owner]'s shard has called {!wait},
-    this touches only the connections the last wait reported ready plus
-    those with unflushed bytes — O(ready), not O(connections). Must only
-    be called from the shard that owns the node. *)
+    this touches only the connections the last wait reported ready, the
+    ones it accepts itself (read at once: a dialer's first bytes are
+    usually already there) and those with unflushed bytes — O(ready),
+    not O(connections). Must only be called from the shard that owns
+    the node. *)
 
 val next_due : t -> owner:int -> float option
 (** Clock time (units) of the earliest queued delivery for [owner], if
@@ -168,24 +175,38 @@ val poll_driven : t -> bool
     shard loop should block in {!wait} for readiness; false when
     [next_due] is authoritative modulo the idle cap (loopback). *)
 
+type shard
+(** One shard's view of a transport: its owner nodes, its readiness set
+    and its wake pipe. *)
+
+val shard : t -> owners:int list -> shard
+(** Fix a shard's owners once. On sockets this checks each owner's
+    range, that it is hosted here and that no other handle holds it,
+    and creates the shard's wake pipe; the readiness set itself, and
+    the registration of the owners' fds, wait for the handle's first
+    {!wait}, so they run on the waiting shard's domain.
+    @raise Invalid_argument on an out-of-range owner, or (sockets) one
+    not hosted here or already in another handle. *)
+
 val wait :
-  t ->
-  ?extra_fds:Unix.file_descr list ->
-  ?on_ready:(int -> unit) ->
-  owners:int list ->
-  timeout_s:float ->
-  unit ->
-  unit
-(** Block until work may be available for [owners] or [timeout_s]
-    elapses (capped at 0.25 s as a lost-wakeup safety net). On sockets
-    this blocks in the calling shard's readiness set — owners' fds are
-    registered on first call and stay registered, so the per-wait cost
-    is O(ready). Each ready event invokes [on_ready owner] (possibly
-    several times per owner) telling the caller which nodes to {!poll};
-    [extra_fds] (read side) ride in the set as wake channels and are
-    never reported through [on_ready] — an idle cluster burns no CPU.
-    Pending reconnect deadlines bound the sleep and activate their owner
-    when due. On loopback it simply sleeps. *)
+  shard -> ?on_ready:(int -> unit) -> timeout_s:float -> unit -> unit
+(** Block until work may be available for the shard's owners, a
+    {!wake} arrives, or [timeout_s] elapses (capped at 0.25 s as a
+    lost-wakeup safety net). On sockets this blocks in the shard's
+    readiness set, and its cost is O(ready): it never walks the owner
+    list. Each ready event invokes [on_ready owner] (possibly several
+    times per owner) telling the caller which nodes to {!poll}. The
+    wake pipe rides in the same set and is drained here, only when the
+    set reports it readable; it is never reported through [on_ready].
+    An idle cluster burns no CPU. Pending reconnect deadlines bound the
+    sleep and activate their owner when due. A signal can end the wait
+    early, like a spurious wake-up. Only the shard's own domain may call
+    this. On loopback it simply sleeps. *)
+
+val wake : shard -> unit
+(** Interrupt the shard's current or next {!wait}. Safe from any
+    domain; one counted [write(2)] on sockets, a no-op on loopback
+    (whose waits are short capped sleeps). *)
 
 val count_decode_error : t -> unit
 (** Record an envelope-level decode failure (bad codec key/version or

@@ -1,17 +1,20 @@
-(** Per-shard wake pipes.
+(** Wake pipes.
 
     A shard sleeping in {!Transport.wait} is woken by writing a byte to
-    its pipe; the pipe's read end rides in the shard's readiness set as
-    an extra fd. The write side is safe from any domain; {!drain} must
-    be called by the owning shard after every wake-up (it reads to
-    [EAGAIN], so a burst of stop/load-inject wakes cannot leave stale
-    readability behind — stale bytes would make every subsequent wait
-    return immediately and spin the shard at 100% CPU). *)
+    its pipe; the pipe's read end rides in the shard's readiness set.
+    The write side is safe from any domain. {!drain} belongs to the wait
+    that reports the read end readable, not to every wake-up: it reads
+    the pipe empty, so a burst of stop/load-inject wakes cannot leave
+    stale readability behind (stale bytes would make every subsequent
+    wait return immediately and spin the shard at 100% CPU), and an
+    unreported pipe costs no read at all. *)
 
 type t
 
-val create : unit -> t
-(** A non-blocking pipe pair. *)
+val create : ?reads:int Atomic.t -> ?writes:int Atomic.t -> unit -> t
+(** A non-blocking pipe pair. Every [read(2)] {!drain} issues bumps
+    [reads], every [write(2)] {!wake} issues bumps [writes] — pass a
+    transport's syscall counters so its totals include the pipe. *)
 
 val read_fd : t -> Unix.file_descr
 (** The fd to register for readability. *)
@@ -21,6 +24,7 @@ val wake : t -> unit
     already has readability pending, which is all a wake means. *)
 
 val drain : t -> unit
-(** Read the pipe empty (to [EAGAIN]). Owning shard only. *)
+(** Read the pipe empty: until a read comes back shorter than the
+    buffer, or [EAGAIN]. Owning shard only. *)
 
 val close : t -> unit

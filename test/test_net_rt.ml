@@ -631,6 +631,7 @@ let test_stats_snapshot_coherent () =
       let addrs = Transport.uds_addrs ~dir ~n in
       let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
       let t = Transport.sockets ~clock ~n ~owned:[ 0; 1 ] ~addrs () in
+      let shard = Transport.shard t ~owners:[ 0; 1 ] in
       Fun.protect
         ~finally:(fun () -> Transport.close t)
         (fun () ->
@@ -643,7 +644,7 @@ let test_stats_snapshot_coherent () =
           Transport.send t ~src:0 ~dst:1 ~delay:0.0 (frame 1);
           let deadline = Unix.gettimeofday () +. 5.0 in
           while !got < 1 && Unix.gettimeofday () < deadline do
-            Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.05 ();
+            Transport.wait shard ~timeout_s:0.05 ();
             (* Polling the sender flushes its coalesced outgoing buffer. *)
             Transport.poll t ~owner:0 (fun _view -> ());
             Transport.poll t ~owner:1 (fun _view -> incr got)
@@ -710,6 +711,171 @@ let test_stats_snapshot_coherent () =
             && s.Transport.snap_wait_calls >= 0))
         !snaps)
 
+(* ---------------- shard handles ---------------- *)
+
+(* A handle checks its owners once, at creation: an out-of-range owner
+   is refused there (on both backends), as is a node another handle
+   already holds, and a refused handle claims nothing. *)
+let test_shard_rejects_bad_owners () =
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+  let lb = Transport.loopback ~clock ~n:2 in
+  Alcotest.check_raises "loopback: out-of-range owner"
+    (Invalid_argument "Transport: shard owner node 2 out of range")
+    (fun () -> ignore (Transport.shard lb ~owners:[ 0; 2 ]));
+  with_temp_dir (fun dir ->
+      let n = 3 in
+      let addrs = Transport.uds_addrs ~dir ~n in
+      let t = Transport.sockets ~clock ~n ~owned:[ 0; 1 ] ~addrs () in
+      Fun.protect
+        ~finally:(fun () -> Transport.close t)
+        (fun () ->
+          Alcotest.check_raises "sockets: out-of-range owner"
+            (Invalid_argument "Transport: shard owner node -1 out of range")
+            (fun () -> ignore (Transport.shard t ~owners:[ 0; -1 ]));
+          Alcotest.check_raises "sockets: owner not hosted here"
+            (Invalid_argument
+               "Transport.sockets: shard owner node 2 is not hosted here")
+            (fun () -> ignore (Transport.shard t ~owners:[ 2 ]));
+          ignore (Transport.shard t ~owners:[ 1 ]);
+          Alcotest.check_raises "sockets: owner already in a shard"
+            (Invalid_argument
+               "Transport.shard: node 1 already belongs to a shard")
+            (fun () -> ignore (Transport.shard t ~owners:[ 0; 1 ]));
+          (* The refused handle above must not have claimed node 0. *)
+          ignore (Transport.shard t ~owners:[ 0 ])))
+
+(* One shard handle over a two-node UDS transport under each backend,
+   uring last: closing a ring hands task work to the closing thread some
+   milliseconds later, which interrupts whatever wait that thread is in
+   then (EINTR, a documented early return) and would cut short the
+   timed waits of the next backend. *)
+let with_wake_shard f =
+  List.iter
+    (fun backend ->
+      with_temp_dir (fun dir ->
+          let n = 2 in
+          let addrs = Transport.uds_addrs ~dir ~n in
+          let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+          let t =
+            Transport.sockets ~readiness:backend ~clock ~n ~owned:[ 0; 1 ]
+              ~addrs ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Transport.close t)
+            (fun () ->
+              f (Readiness.backend_name backend) t
+                (Transport.shard t ~owners:[ 0; 1 ]))))
+    (List.rev (available_backends ()))
+
+let timed_wait shard ~timeout_s =
+  let t0 = Unix.gettimeofday () in
+  Transport.wait shard ~timeout_s ();
+  Unix.gettimeofday () -. t0
+
+(* The wake pipe is drained by the wait that reports it, and drained
+   whole: after a burst of 10k wakes from another domain, the wait that
+   absorbs it returns at once, and the next two block for their full
+   timeout — stale readability would turn them into a spin. Every pipe
+   write is counted as a syscall. *)
+let test_wake_burst_no_stale_readability () =
+  with_wake_shard (fun name t shard ->
+      (* Adopt the owners first, so only the pipe can end a wait. *)
+      Transport.wait shard ~timeout_s:0.0 ();
+      let writes0 = Atomic.get (Transport.stats t).Transport.write_syscalls in
+      Domain.join
+        (Domain.spawn (fun () ->
+             for _ = 1 to 10_000 do
+               Transport.wake shard
+             done));
+      Alcotest.(check bool)
+        (name ^ ": wake writes counted")
+        true
+        (Atomic.get (Transport.stats t).Transport.write_syscalls - writes0
+        >= 10_000);
+      let absorb = timed_wait shard ~timeout_s:1.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: burst wakes the wait (%.3f s)" name absorb)
+        true (absorb < 0.5);
+      for k = 1 to 2 do
+        let dt = timed_wait shard ~timeout_s:0.05 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: wait %d after the burst blocks (%.3f s)" name k
+             dt)
+          true (dt >= 0.04)
+      done)
+
+(* A wake from another domain cuts a long wait short. *)
+let test_cross_domain_wake () =
+  with_wake_shard (fun name _t shard ->
+      Transport.wait shard ~timeout_s:0.0 ();
+      let waker =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.02;
+            Transport.wake shard)
+      in
+      let dt = timed_wait shard ~timeout_s:1.0 in
+      Domain.join waker;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: woken in %.3f s" name dt)
+        true (dt < 0.1))
+
+(* [syscr + syscw] from /proc/self/io: every read- and write-type
+   syscall the process made, counted by the kernel. [None] off Linux. *)
+let kernel_rw () =
+  match In_channel.with_open_bin "/proc/self/io" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      let field name =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ':' line with
+            | [ k; v ] when String.trim k = name ->
+                int_of_string_opt (String.trim v)
+            | _ -> None)
+          (String.split_on_char '\n' text)
+      in
+      Option.bind (field "syscr") (fun r ->
+          Option.map (fun w -> r + w) (field "syscw"))
+
+(* A counter that leaves work out is a bug: on a two-shard UDS random
+   walk under open-loop load (cross-shard wakes, so the wake pipes are
+   busy), the transport's read + write counters must match what the
+   kernel saw, to within 0.02 syscalls per grant. *)
+let test_every_syscall_counted () =
+  match kernel_rw () with
+  | None -> ()
+  | Some _ ->
+      with_temp_dir (fun dir ->
+          let n = 16 in
+          let addrs = Transport.uds_addrs ~dir ~n in
+          let config =
+            {
+              (Cluster.default_config ~n ~seed:5) with
+              unit_s = 2e-4;
+              shards = 2;
+              load = Cluster.Open_loop { mean_interarrival = 0.1 };
+              stop = Cluster.Duration 2_000.0;
+              max_wall_s = 30.0;
+            }
+          in
+          let before = Option.get (kernel_rw ()) in
+          let r =
+            Cluster.run_packed
+              ~backend:(Cluster.Sockets { owned = List.init n Fun.id; addrs })
+              config
+              (Codecs.find_exn "random-walk")
+          in
+          let kernel = Option.get (kernel_rw ()) - before in
+          let counted = r.Cluster.read_syscalls + r.Cluster.write_syscalls in
+          let grants = Stdlib.max 1 r.Cluster.grants in
+          let gap = float_of_int (abs (kernel - counted)) /. float_of_int grants in
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "kernel %d vs counted %d rw syscalls over %d grants (%.4f/grant)"
+               kernel counted grants gap)
+            true
+            (r.Cluster.grants > 100 && gap <= 0.02))
+
 (* Feed frames to a hosted listener through a raw socket in adversarial
    chunks (byte-by-byte, then 3-byte slices) under each forced backend:
    the stream decoder must deliver each frame exactly once, with no
@@ -726,6 +892,7 @@ let test_adversarial_chunking () =
             Transport.sockets ~readiness:backend ~clock ~n ~owned:[ 1 ] ~addrs
               ()
           in
+          let shard = Transport.shard t ~owners:[ 1 ] in
           Fun.protect
             ~finally:(fun () -> Transport.close t)
             (fun () ->
@@ -756,7 +923,7 @@ let test_adversarial_chunking () =
                     while
                       List.length !got < k && Unix.gettimeofday () < deadline
                     do
-                      Transport.wait t ~owners:[ 1 ] ~timeout_s:0.05 ();
+                      Transport.wait shard ~timeout_s:0.05 ();
                       Transport.poll t ~owner:1 on_frame
                     done
                   in
@@ -769,7 +936,7 @@ let test_adversarial_chunking () =
                           in
                           ignore (Unix.write_substring s data i len);
                           (* Let the reader see this fragment alone. *)
-                          Transport.wait t ~owners:[ 1 ] ~timeout_s:0.002 ();
+                          Transport.wait shard ~timeout_s:0.002 ();
                           Transport.poll t ~owner:1 on_frame
                         end)
                       data
@@ -997,6 +1164,17 @@ let () =
           Alcotest.test_case "adaptive spin counters" `Quick test_spin_smoke;
           Alcotest.test_case "stats snapshot coherent" `Quick
             test_stats_snapshot_coherent;
+        ] );
+      ( "shard",
+        [
+          Alcotest.test_case "bad owners refused at creation" `Quick
+            test_shard_rejects_bad_owners;
+          Alcotest.test_case "wake burst leaves no stale readability" `Quick
+            test_wake_burst_no_stale_readability;
+          Alcotest.test_case "cross-domain wake ends a wait" `Quick
+            test_cross_domain_wake;
+          Alcotest.test_case "every read/write syscall counted" `Quick
+            test_every_syscall_counted;
         ] );
       ( "golden",
         [
