@@ -21,7 +21,7 @@
      N's ns/hop to the smallest's.
 
    - live_scaling, syscall_floor, wait_cost: readiness backends vs N,
-     the I/O mechanisms' syscalls per grant, and the cost of one
+     the epoll transport's syscalls per grant, and the cost of one
      readiness wait vs registered fds (see EXPERIMENTS.md).
 
    Allocation rates come from Gc.quick_stat deltas around the timed
@@ -380,115 +380,42 @@ let fleet_case ~procs ~n ~duration_units =
     ~avg_ready:None
 
 (* ------------------------------------------------------------------ *)
-(* Syscall floor: completion backend, spin-wait and the inproc path    *)
+(* Syscall floor                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The epoll transport pays ~2 read/write syscalls plus about one
-   epoll_wait per grant on a closed ring. These rows measure how far the
-   completion backend (batched io_uring submissions, one enter per
-   wait), the adaptive spin window (a hit skips the blocking enter;
-   gated off loudly on single-CPU hosts) and the in-process delivery
-   path (co-hosted hops bypass the kernel, and a wait with work already
-   in hand elides the kernel visit entirely) push below that floor,
-   against an epoll baseline from the same harness. One shard, all
-   nodes self-hosted, like the live_scaling rows. The epoll row is the
-   denominator for [reduction_vs_baseline], taken between medians. *)
-let floor_run ~n ~grants k (label, backend, spin, inproc) =
-  Format.eprintf "syscall floor n=%d %s (%d grants, round %d/%d)...@." n label
-    grants (k + 1) repeats;
-  let config =
-    {
-      (scaling_config ~n ~readiness:(Some backend)
-         ~stop:(Cluster.Grants grants) ~max_wall_s:300.0)
-      with
-      spin;
-      inproc;
-    }
-  in
-  ring_run ~what:("syscall floor " ^ label) ~n config
-
-let floor_rows ~n ~grants =
-  let cases =
-    (* The epoll baseline must come first: it is every row's
-       denominator. Uring rows degrade to the actual backend loudly
-       (recorded in the row's "readiness" field) when this kernel
-       cannot create a ring. Plain uring is deliberately absent: on a
-       single-CPU host the completion path's ~1 enter/grant costs
-       slightly more wall time than epoll's 3 cheap syscalls, so it
-       reduces the syscall bill without beating baseline throughput —
-       the configurations here are the ones that deliver both. *)
-    [ ("epoll", Readiness.Epoll, false, false);
-      ("epoll+inproc", Readiness.Epoll, false, true);
-      ("uring+inproc", Readiness.Uring, false, true);
-      ("uring+spin+inproc", Readiness.Uring, true, true);
-    ]
-    |> List.filter (fun (_, b, _, _) -> Readiness.available b)
-  in
+   epoll_wait per grant on a closed ring. One shard, all nodes
+   self-hosted, like the live_scaling rows; the transport's own
+   read+write counters sit beside the kernel's over the same runs. *)
+let floor_row ~n ~grants =
   let runs =
-    List.map2
-      (fun (label, _, spin, inproc) runs -> (label, spin, inproc, runs))
-      cases
-      (round_robin cases (floor_run ~n ~grants))
+    List.init repeats (fun k ->
+        Format.eprintf "syscall floor n=%d epoll (%d grants, round %d/%d)...@."
+          n grants (k + 1) repeats;
+        ring_run ~what:"syscall floor" ~n
+          (scaling_config ~n ~readiness:(Some Readiness.Epoll)
+             ~stop:(Cluster.Grants grants) ~max_wall_s:300.0))
   in
-  let spg runs = List.map (fun (r, _) -> r.Cluster.syscalls_per_grant) runs in
-  let gps runs = List.map (fun (r, _) -> grants_per_s r) runs in
-  match runs with
-  | [] -> []
-  | (_, _, _, base) :: _ ->
-      let base_spg = median (spg base) and base_gps = median (gps base) in
-      List.map
-        (fun (label, spin, inproc, runs) ->
-          let r = fst (List.hd runs) in
-          let med f = median (List.map (fun (r, _) -> fi (f r)) runs) in
-          Printf.sprintf
-            {|    { "config": %S, "n": %d, "readiness": %S, "spin": %b, "inproc": %b,
+  let r = fst (List.hd runs) in
+  Printf.sprintf
+    {|    { "config": "epoll", "n": %d, "readiness": %S,
       "grants": %d, "repeats": %d, %s,
       %s,
       %s,
       %s,
-      "wait_calls": %.0f, "sqes_submitted": %.0f,
-      "spin_hits": %.0f, "spin_misses": %.0f, "inproc_frames": %.0f,
-      "reduction_vs_baseline": %.2f, "grants_per_s_vs_baseline": %.3f }|}
-            label n r.Cluster.readiness spin inproc r.Cluster.grants repeats
-            (spread "grants_per_s" (gps runs))
-            (spread ~digits:4 "syscalls_per_grant" (spg runs))
-            (spread ~digits:4 "counted_rw_syscalls_per_grant"
-               (List.map
-                  (fun (r, _) ->
-                    per_grant r (r.Cluster.read_syscalls + r.Cluster.write_syscalls))
-                  runs))
-            (spread_opt ~digits:4 "kernel_rw_syscalls_per_grant"
-               (List.map (fun (r, k) -> Option.map (per_grant r) k) runs))
-            (med (fun r -> r.Cluster.wait_calls))
-            (med (fun r -> r.Cluster.sqes_submitted))
-            (med (fun r -> r.Cluster.spin_hits))
-            (med (fun r -> r.Cluster.spin_misses))
-            (med (fun r -> r.Cluster.inproc_frames))
-            (base_spg /. Float.max 1e-9 (median (spg runs)))
-            (median (gps runs) /. Float.max 1e-9 base_gps))
-        runs
-
-(* Demonstrate the select wall rather than assert it: a 512-node
-   self-hosted ring builds ~1537 fds once the token has visited the
-   whole ring (connections dial lazily, ~2 fds per first-time hop), at
-   which point fd values pass FD_SETSIZE and Unix.select refuses. The
-   grants target forces at least a full circulation. Record the error
-   string verbatim. *)
-let select_wall_probe () =
-  with_temp_dir (fun dir ->
-      let n = 512 in
-      let addrs = Transport.uds_addrs ~dir ~n in
-      let config =
-        scaling_config ~n ~readiness:(Some Readiness.Select)
-          ~stop:(Cluster.Grants 5_000) ~max_wall_s:20.0
-      in
-      match
-        Cluster.run_packed
-          ~backend:(Cluster.Sockets { owned = List.init n Fun.id; addrs })
-          config (Codecs.find_exn "ring")
-      with
-      | (_ : Cluster.report) -> "completed (unexpected)"
-      | exception e -> Printexc.to_string e)
+      "wait_calls": %.0f }|}
+    n r.Cluster.readiness r.Cluster.grants repeats
+    (spread "grants_per_s" (List.map (fun (r, _) -> grants_per_s r) runs))
+    (spread ~digits:4 "syscalls_per_grant"
+       (List.map (fun (r, _) -> r.Cluster.syscalls_per_grant) runs))
+    (spread ~digits:4 "counted_rw_syscalls_per_grant"
+       (List.map
+          (fun (r, _) ->
+            per_grant r (r.Cluster.read_syscalls + r.Cluster.write_syscalls))
+          runs))
+    (spread_opt ~digits:4 "kernel_rw_syscalls_per_grant"
+       (List.map (fun (r, k) -> Option.map (per_grant r) k) runs))
+    (median (List.map (fun (r, _) -> fi r.Cluster.wait_calls) runs))
 
 (* ------------------------------------------------------------------ *)
 (* Readiness wait cost: K idle registered fds + one hot one            *)
@@ -498,9 +425,8 @@ let select_wall_probe () =
    socketpair read-ends registered plus one
    holding an unread byte (level-triggered, so every wait reports
    exactly that fd). Isolates what one poll costs as the registration
-   count grows — the number that separates O(registered) select/poll
-   from O(ready) epoll. Select is capped below K=512: its fd values
-   must stay under FD_SETSIZE=1024 and each idle entry burns a pair. *)
+   count grows — the number that separates O(registered) poll from
+   O(ready) epoll. *)
 let wait_cost_ns ~backend ~k =
   let rd = Readiness.create ~backend () in
   let pairs =
@@ -542,21 +468,12 @@ let wait_cost_ns ~backend ~k =
   ns
 
 let wait_cost_rows () =
+  let ks = if quick then [ 64 ] else [ 64; 256; 448; 1024; 4096 ] in
   let combos =
-    if quick then
-      List.filter_map
-        (fun b -> if Readiness.available b then Some (b, 64) else None)
-        [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
-    else
-      List.concat_map
-        (fun b ->
-          let ks =
-            match b with
-            | Readiness.Select -> [ 64; 256; 448 ]
-            | _ -> [ 64; 256; 448; 1024; 4096 ]
-          in
-          if Readiness.available b then List.map (fun k -> (b, k)) ks else [])
-        [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+    List.concat_map
+      (fun b ->
+        if Readiness.available b then List.map (fun k -> (b, k)) ks else [])
+      [ Readiness.Epoll; Readiness.Poll ]
   in
   List.map
     (fun (b, k) ->
@@ -739,14 +656,11 @@ let () =
             (fun (hi, _) (lo, _) -> ns_per_hop hi /. ns_per_hop lo)
             (last hop_runs) (List.hd hop_runs)))
   in
-  (* Live scaling sweep: forced backends where each can run at all.
-     select is honest only up to N=256 (a 512-node self-hosted ring
-     needs ~1537 fds and Unix.select EINVALs past FD_SETSIZE — probed
-     below and recorded verbatim). N=10000 runs as a 2-process fleet. *)
+  (* Live scaling sweep over both backends. N=10000 runs as a 2-process
+     fleet. *)
   let scaling_cases =
     (if quick then
-       List.map (fun b -> (b, 64, 2_000))
-         [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+       List.map (fun b -> (b, 64, 2_000)) [ Readiness.Epoll; Readiness.Poll ]
      else
        [ (Readiness.Epoll, 64, 50_000);
          (Readiness.Epoll, 256, 50_000);
@@ -755,8 +669,6 @@ let () =
          (Readiness.Poll, 64, 50_000);
          (Readiness.Poll, 256, 50_000);
          (Readiness.Poll, 1024, 20_000);
-         (Readiness.Select, 64, 50_000);
-         (Readiness.Select, 256, 20_000);
        ])
     |> List.filter (fun (b, _, _) -> Readiness.available b)
   in
@@ -767,11 +679,10 @@ let () =
       (round_robin scaling_cases scaling_run)
     @ fleet_rows
   in
-  let syscall_floor_rows =
-    if quick then floor_rows ~n:64 ~grants:2_000
-    else floor_rows ~n:1024 ~grants:50_000
+  let syscall_floor_row =
+    if quick then floor_row ~n:64 ~grants:2_000
+    else floor_row ~n:1024 ~grants:50_000
   in
-  let select_wall = if quick then "not probed (quick mode)" else select_wall_probe () in
   let wait_rows = wait_cost_rows () in
   let json =
     Printf.sprintf
@@ -792,7 +703,6 @@ let () =
   "syscall_floor": [
 %s
   ],
-  "select_wall_at_n512": %S,
   "wait_cost": [
 %s
   ]
@@ -816,8 +726,7 @@ let () =
       (String.concat ",\n" hop_rows)
       hop_ratio
       (String.concat ",\n" scaling_rows)
-      (String.concat ",\n" syscall_floor_rows)
-      select_wall
+      syscall_floor_row
       (String.concat ",\n" wait_rows)
   in
   let oc = open_out "BENCH_net.json" in

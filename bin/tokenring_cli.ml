@@ -596,30 +596,9 @@ let readiness_arg =
     value & opt (some string) None
     & info [ "readiness" ] ~docv:"BACKEND"
         ~doc:
-          "Force the socket wait backend: uring, epoll, poll or select. \
-           uring switches the transport into io_uring completion mode \
-           (batched submissions, one enter per wait). Default picks the \
-           best available of epoll/poll (TR_READINESS also honoured); an \
-           unavailable forced backend falls back loudly.")
-
-let spin_arg =
-  Arg.(
-    value & flag
-    & info [ "spin" ]
-        ~doc:
-          "Adaptive spin-then-block before each shard wait: busy-poll \
-           user-space signals (completion queue, in-process mailboxes) \
-           for a window sized by the recent inter-event gap (TR_SPIN \
-           also honoured).")
-
-let inproc_arg =
-  Arg.(
-    value & flag
-    & info [ "inproc" ]
-        ~doc:
-          "Deliver frames between co-hosted nodes through in-process \
-           mailboxes instead of sockets: identical framing and ordering, \
-           zero syscalls per hop (TR_INPROC also honoured).")
+          "Force the socket wait backend: epoll or poll. Default picks \
+           epoll where available, else poll (TR_READINESS also honoured); \
+           an unavailable forced backend falls back loudly to poll.")
 
 let pin_arg =
   Arg.(
@@ -634,8 +613,8 @@ let parse_readiness = function
       | Ok b -> Some b
       | Error e -> die "--readiness: %s" e)
 
-let live_config ?(spin = false) ?(inproc = false) ~n ~seed ~unit_s ~shards
-    ~max_wall_s ~load ~grants ~duration ~readiness ~pin () =
+let live_config ~n ~seed ~unit_s ~shards ~max_wall_s ~load ~grants ~duration
+    ~readiness ~pin () =
   if n < 1 then die "need at least one node";
   let stop =
     match grants with
@@ -651,8 +630,6 @@ let live_config ?(spin = false) ?(inproc = false) ~n ~seed ~unit_s ~shards
       max_wall_s;
       readiness = parse_readiness readiness;
       pin_cores = pin;
-      spin;
-      inproc;
     }
   in
   if shards > 0 then { config with shards } else config
@@ -692,12 +669,12 @@ let run_live ?backend config packed =
 
 let serve_cmd =
   let run protocol n seed unit_s shards max_wall own uds tcp_base host grants
-      duration readiness spin inproc pin =
+      duration readiness pin =
     if uds = None && tcp_base = None then
       die "serve needs a socket backend: --uds DIR or --tcp-base PORT";
     let backend = resolve_backend ~n ~own ~uds ~tcp_base ~host in
     let config =
-      live_config ~spin ~inproc ~n ~seed ~unit_s ~shards ~max_wall_s:max_wall
+      live_config ~n ~seed ~unit_s ~shards ~max_wall_s:max_wall
         ~load:Cluster.No_load ~grants ~duration ~readiness ~pin ()
     in
     let report = run_live ?backend config (find_packed protocol) in
@@ -711,14 +688,13 @@ let serve_cmd =
     Term.(
       const run $ protocol_arg $ nodes $ seed $ unit_arg $ shards_arg
       $ max_wall_arg $ own_arg $ uds_arg $ tcp_base_arg $ host_arg
-      $ grants_stop_arg $ duration_arg $ readiness_arg $ spin_arg $ inproc_arg
-      $ pin_arg)
+      $ grants_stop_arg $ duration_arg $ readiness_arg $ pin_arg)
 
 (* ---------------- loadgen ---------------- *)
 
 let loadgen_cmd =
   let run protocol n seed unit_s shards max_wall own uds tcp_base host grants
-      duration closed open_mean readiness spin inproc pin =
+      duration closed open_mean readiness pin =
     let load =
       match (closed, open_mean) with
       | Some _, Some _ -> die "choose one of --closed and --open"
@@ -728,7 +704,7 @@ let loadgen_cmd =
     in
     let backend = resolve_backend ~n ~own ~uds ~tcp_base ~host in
     let config =
-      live_config ~spin ~inproc ~n ~seed ~unit_s ~shards ~max_wall_s:max_wall
+      live_config ~n ~seed ~unit_s ~shards ~max_wall_s:max_wall
         ~load ~grants ~duration ~readiness ~pin ()
     in
     let report = run_live ?backend config (find_packed protocol) in
@@ -756,7 +732,7 @@ let loadgen_cmd =
       const run $ protocol_arg $ nodes $ seed $ unit_arg $ shards_arg
       $ max_wall_arg $ own_arg $ uds_arg $ tcp_base_arg $ host_arg
       $ grants_stop_arg $ duration_arg $ closed $ open_mean $ readiness_arg
-      $ spin_arg $ inproc_arg $ pin_arg)
+      $ pin_arg)
 
 (* ---------------- service / service-loadgen ---------------- *)
 
@@ -1147,7 +1123,7 @@ let run_fleet ~procs ~addrs ~config packed =
 
 let cluster_bench_cmd =
   let run protocols ns_spec seed grants mean closed unit_s shards max_wall json
-      uds procs readiness spin inproc pin duration =
+      uds procs readiness pin duration =
     let protocols = if protocols = [] then [ "ring"; "binsearch" ] else protocols in
     let ns = parse_id_ranges ns_spec in
     if ns = [] then die "empty -N sweep";
@@ -1168,9 +1144,8 @@ let cluster_bench_cmd =
             List.map
               (fun protocol ->
                 let mk_config ~grants ~duration =
-                  live_config ~spin ~inproc ~n ~seed ~unit_s ~shards
-                    ~max_wall_s:max_wall ~load ~grants ~duration ~readiness
-                    ~pin ()
+                  live_config ~n ~seed ~unit_s ~shards ~max_wall_s:max_wall
+                    ~load ~grants ~duration ~readiness ~pin ()
                 in
                 let backend_desc dir =
                   Printf.sprintf "unix[%s]"
@@ -1357,8 +1332,7 @@ let cluster_bench_cmd =
       $ Arg.(
           value & flag
           & info [ "json" ] ~doc:"Emit one JSON report per run instead of CSV.")
-      $ uds_arg $ procs $ readiness_arg $ spin_arg $ inproc_arg $ pin_arg
-      $ bench_duration)
+      $ uds_arg $ procs $ readiness_arg $ pin_arg $ bench_duration)
 
 (* ---------------- chaos ---------------- *)
 

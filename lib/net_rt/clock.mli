@@ -6,11 +6,11 @@
     same units the simulator uses and live measurements overlay directly
     on simulated ones (Figure 9's axes carry over unchanged).
 
-    Backed by [Unix.gettimeofday] against a fixed epoch — the only timing
-    source the container provides. Raw wall time is not monotonic (NTP
-    can step it backwards), so reads are clamped to be non-decreasing
-    across all domains: [now] never goes backwards, which the runner's
-    due-time ordering of timers and frame deliveries depends on. *)
+    Backed by [CLOCK_MONOTONIC] against a fixed epoch. It never steps
+    backwards (an NTP step moves wall time, not this clock), so [now] is
+    non-decreasing across all domains without any shared state, which
+    the runner's due-time ordering of timers and frame deliveries
+    depends on. *)
 
 type t
 

@@ -21,8 +21,6 @@ type config = {
   max_wall_s : float;
   pin_cores : bool;
   readiness : Readiness.backend option;
-  spin : bool;
-  inproc : bool;
   chaos : Tr_chaos.Injector.t option;
 }
 
@@ -41,8 +39,6 @@ let default_config ~n ~seed =
     max_wall_s = 60.0;
     pin_cores = false;
     readiness = None;
-    spin = false;
-    inproc = false;
     chaos = None;
   }
 
@@ -79,10 +75,6 @@ type report = {
   wait_calls : int;
   fds_registered : int;
   avg_ready_per_wait : float;
-  spin_hits : int;
-  spin_misses : int;
-  sqes_submitted : int;
-  inproc_frames : int;
   syscalls_per_grant : float;
   corrupt_frames_detected : int;
   chaos_spec : string;
@@ -118,7 +110,8 @@ let validate (config : config) =
     invalid_arg "Cluster.run: hop_delay must be finite and non-negative";
   if not (Float.is_finite config.cheap_delay) || config.cheap_delay < 0.0 then
     invalid_arg "Cluster.run: cheap_delay must be finite and non-negative";
-  if config.max_wall_s <= 0.0 then invalid_arg "Cluster.run: max_wall_s <= 0";
+  if not (Float.is_finite config.max_wall_s) || config.max_wall_s <= 0.0 then
+    invalid_arg "Cluster.run: max_wall_s must be finite and positive";
   (match config.load with
   | No_load | External -> ()
   | Open_loop { mean_interarrival } ->
@@ -143,8 +136,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     | Loopback -> (Transport.loopback ~clock ~n, List.init n Fun.id)
     | Sockets { owned; addrs } ->
         if owned = [] then invalid_arg "Cluster.run: no nodes to host";
-        ( Transport.sockets ?readiness:config.readiness ~spin:config.spin
-            ~inproc:config.inproc ~clock ~n ~owned ~addrs (),
+        ( Transport.sockets ?readiness:config.readiness ~clock ~n ~owned ~addrs (),
           List.sort_uniq compare owned )
   in
   let owned_arr = Array.of_list owned in
@@ -711,10 +703,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     avg_ready_per_wait =
       (if wait_calls = 0 then 0.0
        else float_of_int s.Transport.snap_fds_ready /. float_of_int wait_calls);
-    spin_hits = s.Transport.snap_spin_hits;
-    spin_misses = s.Transport.snap_spin_misses;
-    sqes_submitted = s.Transport.snap_sqes_submitted;
-    inproc_frames = s.Transport.snap_inproc_frames;
     syscalls_per_grant =
       (if grants = 0 then 0.0
        else

@@ -47,15 +47,7 @@ type config = {
   readiness : Readiness.backend option;
       (** Force the sockets readiness backend; [None] picks the best
           available (honouring [TR_READINESS] — see
-          {!Readiness.default_backend}). Forcing [Uring] puts the
-          transport in completion mode (see {!Transport.sockets}).
-          Ignored on loopback. *)
-  spin : bool;
-      (** Adaptive spin-then-block before each shard wait (sockets
-          only; see {!Transport.sockets}). Default off. *)
-  inproc : bool;
-      (** In-process delivery fast path between co-hosted nodes
-          (sockets only; see {!Transport.sockets}). Default off. *)
+          {!Readiness.default_backend}). Ignored on loopback. *)
   chaos : Tr_chaos.Injector.t option;
       (** Fault-injection shim on the frame path: every protocol send
           consults the injector before encoding (drop / duplicate /
@@ -70,8 +62,7 @@ type config = {
 val default_config : n:int -> seed:int -> config
 (** 1 ms units, one-unit hops on both channels, [No_load],
     [Duration 1000.], 60 s wall cap, shards from
-    [Domain.recommended_domain_count], no pinning, default readiness,
-    spin and in-process fast path off. *)
+    [Domain.recommended_domain_count], no pinning, default readiness. *)
 
 (** Handle passed to the {!run} [tap] and [attach] callbacks: lets an
     embedder kill a node mid-run, end the run early, or inject external
@@ -102,8 +93,8 @@ type report = {
   seed : int;
   backend : string;
   readiness : string;
-      (** Backend the shards waited in: ["uring"], ["epoll"], ["poll"],
-          ["select"], or ["none"] for loopback — always the backend
+      (** Backend the shards waited in: ["epoll"], ["poll"], or
+          ["none"] for loopback — always the backend
           {e actually} used, after any loud fallback. *)
   unit_s : float;
   shards : int;
@@ -132,17 +123,10 @@ type report = {
   avg_ready_per_wait : float;
       (** Mean fds reported ready per wait — the O(ready) dispatch cost,
           independent of [fds_registered]. *)
-  spin_hits : int;  (** Spin windows that found work without blocking. *)
-  spin_misses : int;  (** Spin windows that expired into a blocking wait. *)
-  sqes_submitted : int;
-      (** io_uring submissions queued (completion mode only). *)
-  inproc_frames : int;
-      (** Frames delivered through the in-process fast path. *)
   syscalls_per_grant : float;
       (** (write + read + wait syscalls) / grants — the per-grant
-          syscall floor this run actually paid. On the readiness
-          backends a hop costs ~3 (write, wait, read); completion mode
-          collapses it toward 1 and the in-process path toward 0. *)
+          syscall floor this run actually paid: a hop costs ~3 (write,
+          wait, read). *)
   corrupt_frames_detected : int;
       (** Cluster-level corruption roll-up: [decode_errors +
           resync_skips] — every frame the wire layer had to reject or

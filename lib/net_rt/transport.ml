@@ -14,10 +14,6 @@ type stats = {
   wait_calls : int Atomic.t;
   fds_ready : int Atomic.t;
   fds_registered : int Atomic.t;
-  spin_hits : int Atomic.t;
-  spin_misses : int Atomic.t;
-  sqes_submitted : int Atomic.t;
-  inproc_frames : int Atomic.t;
 }
 
 let make_stats () =
@@ -35,10 +31,6 @@ let make_stats () =
     wait_calls = Atomic.make 0;
     fds_ready = Atomic.make 0;
     fds_registered = Atomic.make 0;
-    spin_hits = Atomic.make 0;
-    spin_misses = Atomic.make 0;
-    sqes_submitted = Atomic.make 0;
-    inproc_frames = Atomic.make 0;
   }
 
 (* A coherent point-in-time copy: every counter read exactly once, so a
@@ -58,10 +50,6 @@ type snapshot = {
   snap_wait_calls : int;
   snap_fds_ready : int;
   snap_fds_registered : int;
-  snap_spin_hits : int;
-  snap_spin_misses : int;
-  snap_sqes_submitted : int;
-  snap_inproc_frames : int;
 }
 
 let snapshot_of_stats s =
@@ -79,10 +67,6 @@ let snapshot_of_stats s =
     snap_wait_calls = Atomic.get s.wait_calls;
     snap_fds_ready = Atomic.get s.fds_ready;
     snap_fds_registered = Atomic.get s.fds_registered;
-    snap_spin_hits = Atomic.get s.spin_hits;
-    snap_spin_misses = Atomic.get s.spin_misses;
-    snap_sqes_submitted = Atomic.get s.sqes_submitted;
-    snap_inproc_frames = Atomic.get s.inproc_frames;
   }
 
 type shard = {
@@ -268,18 +252,13 @@ module Sockets = struct
     try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
   (* Unix.file_descr is an int on every Unix OCaml port; the fd->peer
-     index is keyed by it, and completion-mode accepts return raw fds. *)
+     index is keyed by it. *)
   external fd_int : Unix.file_descr -> int = "%identity"
-  external fd_of_int : int -> Unix.file_descr = "%identity"
 
   type conn_in = {
     fd : Unix.file_descr;
     dec : Frame.Decoder.t;
     mutable ready : bool;  (** Queued in its node's [ready_ins]. *)
-    mutable rd_id : int;  (** Completion mode: in-flight read/poll key. *)
-    mutable rd_slot : int;
-        (** Completion mode: owned arena slot, [-1] none (poll
-            fallback), [-2] connection dead. *)
   }
 
   (* Outgoing frames coalesce into one flat buffer, flushed with a
@@ -299,10 +278,6 @@ module Sockets = struct
     mutable retry_at : float;  (** Wall time before which we won't dial. *)
     mutable in_busy : bool;  (** Queued in its node's [busy]. *)
     mutable in_retry : bool;  (** Queued in its shard set's [retry_outs]. *)
-    mutable wr_id : int;  (** Completion mode: in-flight write key. *)
-    mutable wr_slot : int;  (** Completion mode: owned arena slot or -1. *)
-    mutable wr_len : int;  (** Length of the in-flight write. *)
-    mutable po_id : int;  (** Completion mode: in-flight POLLOUT key. *)
   }
 
   let queued co = co.out_len - co.out_pos
@@ -322,59 +297,24 @@ module Sockets = struct
                                    the shard set's buffer. *)
     mutable claimed : bool;  (** Belongs to a {!shard} handle. *)
     mutable tracked : shard_set option;
-    tracked_pub : shard_set option Atomic.t;
-        (** [tracked], republished for cross-domain readers: in-process
-            senders on other domains must see the adoption (or be seen —
-            see the salvage in [track_node]); a plain mutable read gives
-            neither guarantee. *)
     mutable accept_ready : bool;
     mutable ready_ins : conn_in list;
     mutable busy : conn_out list;  (** Conns with unflushed bytes. *)
-    mutable accept_id : int;  (** Completion mode: in-flight accept key. *)
-    ipc : string Mailbox.t;  (** In-process fast path: inbound frames. *)
-    ipc_queued : bool Atomic.t;  (** Queued in its shard's [ipc_pending]. *)
   }
 
-  (* One per shard handle, built by its first wait: either a readiness
-     set all the shard's fds are registered in (with the fd->peer index
-     that turns a ready fd back into work in O(1)), or a completion ring
-     where the pending operations themselves carry the peer (keyed
-     through [utab]). *)
+  (* One per shard handle, built by its first wait: the readiness set
+     all the shard's fds are registered in, with the fd->peer index that
+     turns a ready fd back into work in O(1). *)
   and shard_set = {
-    rd : rd_impl;
-    fdx : (int, entry) Hashtbl.t;  (** Readiness mode only. *)
+    rd : Readiness.t;
+    fdx : (int, entry) Hashtbl.t;
     sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
     selfwake : Wakeup.t;
-        (** The shard's one wake pipe: {!wake} callers and in-process
-            senders on other domains write here to interrupt its sleep. *)
-    idle : bool Atomic.t;
-        (** True only while blocked in the kernel — the Dekker flag of
-            the in-process wake protocol: senders push the frame first,
-            then wake only if the receiver had already declared idle. *)
-    ipc_pending : node Mailbox.t;
-        (** Hosted nodes with undrained in-process frames. *)
-    mutable ewma_gap : float;  (** Recent inter-event gap estimate (s). *)
-    mutable last_event : float;
-    (* Completion mode state. *)
-    mutable rearm_accepts : node list;  (** Accept arms to retry at wait. *)
-    mutable wake_armed : bool;  (** A poll on [selfwake] is in flight. *)
-    mutable next_key : int;  (** Submission keys; 0 reserved. *)
-    utab : (int, uent) Hashtbl.t;  (** In-flight op by submission key. *)
-    mutable last_enters : int;
-        (** Ring counters already folded into the shared stats — preps
-            between waits (and SQ-full flushes) are charged at the next
-            wait by diffing the ring's cumulative counters. *)
-    mutable wait_skips : int;
-        (** Consecutive kernel waits elided because in-process work was
-            already in hand (bounded in readiness mode so socket fds are
-            still visited; unbounded in completion mode, where an empty
-            SQ and CQ make the elided enter provably a no-op). *)
-    mutable last_sqes : int;
+        (** The shard's one wake pipe: {!wake} callers on any domain
+            write here to interrupt its sleep. *)
   }
-
-  and rd_impl = Rdy of Readiness.t | Cmp of Completion.t
 
   (* A shard handle. The wake pipe exists from creation, so a wake sent
      before the shard's first wait is not lost: the pipe registers
@@ -392,42 +332,27 @@ module Sockets = struct
     | Out of node * conn_out
     | SelfWake
 
-  (* What an in-flight completion-mode submission was. *)
-  and uent =
-    | U_accept of node
-    | U_read of node * conn_in
-    | U_pollin of node * conn_in
-    | U_write of node * conn_out
-    | U_pollout of node * conn_out
-    | U_wake
-
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
   (* Registration keeps the [fds_registered] gauge honest: an fd counts
      once, however often its interest mask changes. Removal must happen
      before the fd is closed (epoll auto-forgets closed fds, but the
-     poll/select sets would otherwise scan a dead descriptor). *)
+     poll set would otherwise scan a dead descriptor). *)
   let reg stats set fd entry ~read ~write =
-    match set.rd with
-    | Cmp _ -> () (* completion mode: interest is submission-driven *)
-    | Rdy rd ->
-        let key = fd_int fd in
-        if not (Hashtbl.mem set.fdx key) then begin
-          Hashtbl.replace set.fdx key entry;
-          Atomic.incr stats.fds_registered
-        end;
-        Readiness.set rd fd ~read ~write
+    let key = fd_int fd in
+    if not (Hashtbl.mem set.fdx key) then begin
+      Hashtbl.replace set.fdx key entry;
+      Atomic.incr stats.fds_registered
+    end;
+    Readiness.set set.rd fd ~read ~write
 
   let unreg stats set fd =
-    match set.rd with
-    | Cmp _ -> ()
-    | Rdy rd ->
-        let key = fd_int fd in
-        if Hashtbl.mem set.fdx key then begin
-          Hashtbl.remove set.fdx key;
-          Atomic.decr stats.fds_registered;
-          Readiness.remove rd fd
-        end
+    let key = fd_int fd in
+    if Hashtbl.mem set.fdx key then begin
+      Hashtbl.remove set.fdx key;
+      Atomic.decr stats.fds_registered;
+      Readiness.remove set.rd fd
+    end
 
   let reset_if_empty co =
     if queued co = 0 then begin
@@ -571,15 +496,7 @@ module Sockets = struct
       | fd, _ ->
           Unix.set_nonblock fd;
           if node.nodelay then set_nodelay fd;
-          let ci =
-            {
-              fd;
-              dec = Frame.Decoder.create ();
-              ready = false;
-              rd_id = 0;
-              rd_slot = -1;
-            }
-          in
+          let ci = { fd; dec = Frame.Decoder.create (); ready = false } in
           node.ins <- ci :: node.ins;
           (* Level-triggered registration: bytes that raced in before
              this point still report readable on the next wait. A dialer
@@ -638,28 +555,11 @@ module Sockets = struct
         node.ins;
     Hashtbl.iter (fun _ co -> flush stats node co) node.outs
 
-  (* In-process fast path: decode frames other co-resident nodes pushed
-     straight into this node's mailbox — no fd, no syscall, no shard
-     buffer. [decode_exact] decodes the one-hop string in place. *)
-  let drain_ipc stats node f =
-    match Mailbox.drain node.ipc with
-    | [] -> ()
-    | frames ->
-        List.iter
-          (fun frame ->
-            match Frame.decode_exact frame with
-            | Ok v ->
-                Atomic.incr stats.frames_received;
-                f v
-            | Error _ -> Atomic.incr stats.resync_skips)
-          frames
-
   (* Tracked poll: touch only what readiness reported (accept_ready,
      ready_ins) plus connections with unflushed bytes (busy). Write
      interest tracks the busy state so an idle cluster registers no
      write-side events at all. *)
   let poll_tracked stats set node f =
-    let rd = match set.rd with Rdy rd -> rd | Cmp _ -> assert false in
     if node.accept_ready then begin
       node.accept_ready <- false;
       accept_all stats node
@@ -683,7 +583,7 @@ module Sockets = struct
             if queued co = 0 then begin
               co.in_busy <- false;
               match co.fd with
-              | Some fd -> Readiness.set rd fd ~read:false ~write:false
+              | Some fd -> Readiness.set set.rd fd ~read:false ~write:false
               | None -> ()
             end
             else begin
@@ -698,300 +598,7 @@ module Sockets = struct
             end)
           busy
 
-  (* ---------------------------------------------------------------- *)
-  (* Completion mode: the shard's hot path on the uring backend.       *)
-  (*                                                                   *)
-  (* Instead of readiness + read/write syscalls, every operation is a  *)
-  (* submission: an ACCEPT rides on each listener, a READ (into an     *)
-  (* owned arena slot) rides on each inbound connection, and queued    *)
-  (* output goes out as WRITE submissions from a staging slot. All of  *)
-  (* a shard's submissions flush in the single io_uring_enter of its   *)
-  (* wait, which also collects every completion — one syscall per      *)
-  (* wait, not three per hop. Slot or SQ exhaustion degrades honestly  *)
-  (* to the direct read/write path (counted as syscalls) guarded by    *)
-  (* one-shot polls.                                                   *)
-  (* ---------------------------------------------------------------- *)
-
-  let fresh_key set ent =
-    let k = set.next_key in
-    set.next_key <- k + 1;
-    Hashtbl.replace set.utab k ent;
-    k
-
-  let cancel_key set c id = Hashtbl.remove set.utab id; Completion.prep_cancel c id
-
-  let mark_ready node ci on_ready =
-    if not ci.ready then begin
-      ci.ready <- true;
-      node.ready_ins <- ci :: node.ready_ins
-    end;
-    on_ready node.id
-
-  let arm_accept set c node =
-    if node.accept_id = 0 then begin
-      let k = fresh_key set (U_accept node) in
-      Completion.prep_accept c node.listen k;
-      node.accept_id <- k
-    end
-
-  (* Keep a READ submission outstanding on an inbound connection; when
-     the arena is exhausted, degrade to a one-shot readable poll whose
-     completion routes through the direct-read fallback. *)
-  let arm_read set c node ci =
-    if ci.rd_id = 0 && ci.rd_slot <> -2 then begin
-      let slot = if ci.rd_slot >= 0 then ci.rd_slot else Completion.alloc_slot c in
-      if slot >= 0 then begin
-        ci.rd_slot <- slot;
-        let k = fresh_key set (U_read (node, ci)) in
-        Completion.prep_read c ci.fd slot k;
-        ci.rd_id <- k
-      end
-      else begin
-        let k = fresh_key set (U_pollin (node, ci)) in
-        Completion.prep_poll c ci.fd 1 k;
-        ci.rd_id <- k
-      end
-    end
-
-  let drop_in_cmp stats set c node ci =
-    if ci.rd_id <> 0 then begin
-      cancel_key set c ci.rd_id;
-      ci.rd_id <- 0
-    end;
-    if ci.rd_slot >= 0 then Completion.free_slot c ci.rd_slot;
-    ci.rd_slot <- -2;
-    close_quietly ci.fd;
-    Atomic.decr stats.fds_registered;
-    node.ins <- List.filter (fun x -> x != ci) node.ins
-
-  let tear_down_cmp stats set c co =
-    if co.wr_id <> 0 then begin
-      cancel_key set c co.wr_id;
-      co.wr_id <- 0
-    end;
-    if co.po_id <> 0 then begin
-      cancel_key set c co.po_id;
-      co.po_id <- 0
-    end;
-    if co.wr_slot >= 0 then begin
-      Completion.free_slot c co.wr_slot;
-      co.wr_slot <- -1
-    end;
-    (* [tracked = None] on purpose: there is no readiness registration
-       to unwind in completion mode. *)
-    tear_down stats None co
-
-  (* Put (more of) [co]'s queued bytes in flight. At most one WRITE
-     submission per connection is outstanding; its completion chains
-     the next chunk until the queue drains. The no-slot fallback is the
-     classic direct write, with a POLLOUT poll to finish a short
-     write. *)
-  let submit_write stats set c node co =
-    match co.fd with
-    | None -> ()
-    | Some fd ->
-        if co.wr_id = 0 && queued co > 0 then begin
-          let slot =
-            if co.wr_slot >= 0 then co.wr_slot else Completion.alloc_slot c
-          in
-          if slot >= 0 then begin
-            co.wr_slot <- slot;
-            let len = Stdlib.min (queued co) (Completion.slot_bytes c) in
-            Completion.blit_to_slot c slot co.out co.out_pos len;
-            let k = fresh_key set (U_write (node, co)) in
-            Completion.prep_write c fd slot len k;
-            co.wr_id <- k;
-            co.wr_len <- len
-          end
-          else begin
-            flush stats node co;
-            if queued co > 0 && co.fd <> None && co.po_id = 0 then begin
-              let k = fresh_key set (U_pollout (node, co)) in
-              Completion.prep_poll c fd 2 k;
-              co.po_id <- k
-            end
-          end
-        end
-
-  (* One completion event. Cancellations complete under the reserved
-     key 0, which is never in [utab], so they fall out at the lookup. *)
-  let dispatch_cqe stats set c on_ready ~key ~res =
-    match Hashtbl.find_opt set.utab key with
-    | None -> ()
-    | Some ent -> (
-        Hashtbl.remove set.utab key;
-        match ent with
-        | U_wake ->
-            set.wake_armed <- false;
-            Wakeup.drain set.selfwake
-        | U_accept node -> (
-            node.accept_id <- 0;
-            match Completion.classify res with
-            | Completion.Ok ->
-                let nfd = fd_of_int res in
-                if node.nodelay then set_nodelay nfd;
-                let ci =
-                  {
-                    fd = nfd;
-                    dec = Frame.Decoder.create ();
-                    ready = false;
-                    rd_id = 0;
-                    rd_slot = -1;
-                  }
-                in
-                node.ins <- ci :: node.ins;
-                Atomic.incr stats.fds_registered;
-                arm_read set c node ci;
-                arm_accept set c node
-            | Completion.Retry -> arm_accept set c node
-            | Completion.Canceled -> ()
-            | Completion.Error ->
-                (* E.g. EMFILE. Retrying at the next wait keeps the
-                   listener alive without a hot error loop. *)
-                set.rearm_accepts <- node :: set.rearm_accepts)
-        | U_read (node, ci) ->
-            ci.rd_id <- 0;
-            if res > 0 then begin
-              Completion.blit_from_slot c ci.rd_slot set.sbuf 0 res;
-              Frame.Decoder.feed_sub ci.dec set.sbuf ~pos:0 ~len:res;
-              mark_ready node ci on_ready;
-              arm_read set c node ci
-            end
-            else if res = 0 then begin
-              (* EOF after whatever was already fed: deliver the tail,
-                 then drop. *)
-              mark_ready node ci on_ready;
-              drop_in_cmp stats set c node ci
-            end
-            else begin
-              match Completion.classify res with
-              | Completion.Retry -> arm_read set c node ci
-              | Completion.Canceled ->
-                  if ci.rd_slot >= 0 then begin
-                    Completion.free_slot c ci.rd_slot;
-                    ci.rd_slot <- -1
-                  end
-              | Completion.Ok | Completion.Error ->
-                  mark_ready node ci on_ready;
-                  drop_in_cmp stats set c node ci
-            end
-        | U_pollin (node, ci) -> (
-            ci.rd_id <- 0;
-            match Completion.classify res with
-            | Completion.Ok -> mark_ready node ci on_ready
-            | Completion.Retry -> arm_read set c node ci
-            | Completion.Canceled -> ()
-            | Completion.Error ->
-                mark_ready node ci on_ready;
-                drop_in_cmp stats set c node ci)
-        | U_write (node, co) ->
-            co.wr_id <- 0;
-            if res > 0 then begin
-              co.backoff <- backoff_min;
-              advance co res;
-              if queued co = 0 then begin
-                if co.wr_slot >= 0 then begin
-                  Completion.free_slot c co.wr_slot;
-                  co.wr_slot <- -1
-                end
-              end
-              else submit_write stats set c node co
-            end
-            else begin
-              match Completion.classify res with
-              | Completion.Ok | Completion.Retry ->
-                  (* res = 0 cannot happen for a non-empty write;
-                     transient errors just resubmit the same chunk. *)
-                  if queued co > 0 then begin
-                    let k = fresh_key set (U_write (node, co)) in
-                    Completion.prep_write c
-                      (match co.fd with Some fd -> fd | None -> assert false)
-                      co.wr_slot co.wr_len k;
-                    co.wr_id <- k
-                  end
-              | Completion.Canceled ->
-                  if co.wr_slot >= 0 then begin
-                    Completion.free_slot c co.wr_slot;
-                    co.wr_slot <- -1
-                  end
-              | Completion.Error -> tear_down_cmp stats set c co
-            end
-        | U_pollout (node, co) -> (
-            co.po_id <- 0;
-            match Completion.classify res with
-            | Completion.Ok ->
-                if queued co > 0 then begin
-                  if not co.in_busy then begin
-                    co.in_busy <- true;
-                    node.busy <- co :: node.busy
-                  end;
-                  on_ready node.id
-                end
-            | Completion.Retry ->
-                if queued co > 0 then begin
-                  match co.fd with
-                  | Some fd ->
-                      let k = fresh_key set (U_pollout (node, co)) in
-                      Completion.prep_poll c fd 2 k;
-                      co.po_id <- k
-                  | None -> ()
-                end
-            | Completion.Canceled -> ()
-            | Completion.Error -> tear_down_cmp stats set c co))
-
-  (* Completion-mode poll: reads were already decoded into each ready
-     connection's decoder by the dispatcher, so delivery is a pure
-     drain; poll-fallback connections do their direct read here. Busy
-     outs (re)submit writes. *)
-  let poll_tracked_cmp stats set c node f =
-    if node.accept_ready then node.accept_ready <- false;
-    (match node.ready_ins with
-    | [] -> ()
-    | ris ->
-        node.ready_ins <- [];
-        List.iter
-          (fun ci ->
-            ci.ready <- false;
-            if ci.rd_slot <> -1 || ci.rd_id <> 0 then drain_decoder stats ci.dec f
-            else if read_conn stats set.sbuf ci f then arm_read set c node ci
-            else drop_in_cmp stats set c node ci)
-          ris);
-    match node.busy with
-    | [] -> ()
-    | busy ->
-        node.busy <- [];
-        List.iter
-          (fun co ->
-            co.in_busy <- false;
-            if queued co > 0 && co.wr_id = 0 then begin
-              (match co.fd with
-              | None ->
-                  if Unix.gettimeofday () >= co.retry_at then
-                    dial stats node co
-              | Some _ -> ());
-              match co.fd with
-              | Some _ ->
-                  submit_write stats set c node co;
-                  if co.wr_id = 0 && queued co > 0 && co.fd <> None then begin
-                    (* Direct-flush fallback left bytes; stay busy so
-                       the POLLOUT completion re-drives it. *)
-                    co.in_busy <- true;
-                    node.busy <- co :: node.busy
-                  end
-              | None ->
-                  if not co.in_retry then begin
-                    co.in_retry <- true;
-                    set.retry_outs <- (node, co) :: set.retry_outs
-                  end
-            end)
-          busy
-
-  let env_flag name =
-    match Sys.getenv_opt name with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false
-
-  let create ?readiness ?spin ?inproc ~clock:_ ~n ~owned ~addrs () =
+  let create ?readiness ~clock:_ ~n ~owned ~addrs () =
     Lazy.force ignore_sigpipe;
     (* High-N clusters hit the default soft RLIMIT_NOFILE long before
        they hit any real resource limit; raise it once per process. *)
@@ -1000,24 +607,6 @@ module Sockets = struct
       match readiness with
       | Some b -> Readiness.resolve ~source:"forced" b
       | None -> Readiness.default_backend ()
-    in
-    let cmp_mode = rd_backend = Readiness.Uring in
-    let spin_wanted =
-      match spin with Some s -> s | None -> env_flag "TR_SPIN"
-    in
-    (* Spinning trades CPU for wake latency, which is only a trade when
-       there is a spare core to burn: on a single-CPU host the idle
-       shard's busy-poll steals the very cycles the working shard needs,
-       and "adaptive" must include adapting to the machine. Gate loudly,
-       like an unavailable readiness backend. *)
-    let spin = spin_wanted && Readiness.ncpus () > 1 in
-    if spin_wanted && not spin then
-      Printf.eprintf
-        "[transport] spin-wait requested but only one CPU is online; \
-         disabling the spin window (waits block immediately)\n\
-         %!";
-    let inproc =
-      match inproc with Some i -> i | None -> env_flag "TR_INPROC"
     in
     if Array.length addrs <> n then
       invalid_arg "Transport.sockets: addrs array must have one entry per node";
@@ -1040,13 +629,9 @@ module Sockets = struct
               readbuf = lazy (Bytes.create 65536);
               claimed = false;
               tracked = None;
-              tracked_pub = Atomic.make None;
               accept_ready = false;
               ready_ins = [];
               busy = [];
-              accept_id = 0;
-              ipc = Mailbox.create ();
-              ipc_queued = Atomic.make false;
             })
       owned;
     let host ~what i =
@@ -1074,39 +659,10 @@ module Sockets = struct
               retry_at = 0.0;
               in_busy = false;
               in_retry = false;
-              wr_id = 0;
-              wr_slot = -1;
-              wr_len = 0;
-              po_id = 0;
             }
           in
           Hashtbl.replace node.outs dst co;
           co
-    in
-    (* In-process delivery: the frame goes straight into the hosted
-       destination's mailbox as one string (wire-format identical to
-       what the socket would carry), and the destination's shard is
-       woken only if it had declared itself idle — the push/idle-check
-       order here mirrors the idle-set/pending-check order in [wait],
-       so a wake can be skipped only when the receiver is provably
-       about to see the frame anyway. *)
-    let deliver_inproc dnode frame =
-      Atomic.incr stats.frames_sent;
-      ignore (Atomic.fetch_and_add stats.bytes_sent (String.length frame));
-      Atomic.incr stats.inproc_frames;
-      Mailbox.push dnode.ipc frame;
-      (* Dekker pair with [track_node]: the push above and this read are
-         both SC, as are the adoption's publish and its mailbox check —
-         so either this sender sees the destination's shard (and
-         notifies it), or the adopting shard sees the pushed frame (and
-         salvages the notification). A frame sent before the
-         destination's first wait cannot be silently parked. *)
-      match Atomic.get dnode.tracked_pub with
-      | None -> ()
-      | Some dset ->
-          if Atomic.compare_and_set dnode.ipc_queued false true then
-            Mailbox.push dset.ipc_pending dnode;
-          if Atomic.get dset.idle then Wakeup.wake dset.selfwake
     in
     (* Enqueue only — the coalesced buffer is flushed once per [poll],
        so a burst of sends inside one loop iteration shares a single
@@ -1135,36 +691,18 @@ module Sockets = struct
       end
     in
     let send ~src ~dst ~delay:_ frame =
-      if inproc && dst >= 0 && dst < n && hosted.(dst) <> None then begin
-        check_node ~what:"send src" ~n src;
-        ignore (host ~what:"send src" src);
-        match hosted.(dst) with
-        | Some dnode -> deliver_inproc dnode frame
-        | None -> assert false
-      end
-      else
-        enqueue ~src ~dst ~len:(String.length frame) (fun dst_buf dst_off ->
-            Bytes.blit_string frame 0 dst_buf dst_off (String.length frame))
+      enqueue ~src ~dst ~len:(String.length frame) (fun dst_buf dst_off ->
+          Bytes.blit_string frame 0 dst_buf dst_off (String.length frame))
     in
     let send_frame ~src ~dst ~delay:_ buf =
-      if inproc && dst >= 0 && dst < n && hosted.(dst) <> None then begin
-        check_node ~what:"send src" ~n src;
-        ignore (host ~what:"send src" src);
-        match hosted.(dst) with
-        | Some dnode -> deliver_inproc dnode (Buffer.contents buf)
-        | None -> assert false
-      end
-      else
-        enqueue ~src ~dst ~len:(Buffer.length buf) (fun dst_buf dst_off ->
-            Buffer.blit buf 0 dst_buf dst_off (Buffer.length buf))
+      enqueue ~src ~dst ~len:(Buffer.length buf) (fun dst_buf dst_off ->
+          Buffer.blit buf 0 dst_buf dst_off (Buffer.length buf))
     in
     let poll ~owner ~upto:_ f =
       (* Socket arrival times are physical: any buffered byte arrived in
          the past, so an [upto] bound can never exclude it. *)
       let node = host ~what:"poll owner" owner in
-      if inproc then drain_ipc stats node f;
       match node.tracked with
-      | Some ({ rd = Cmp c; _ } as set) -> poll_tracked_cmp stats set c node f
       | Some set -> poll_tracked stats set node f
       | None -> poll_untracked stats node f
     in
@@ -1173,37 +711,17 @@ module Sockets = struct
     let handles_mu = Mutex.create () in
     let handles = ref [] in
     let make_set selfwake =
-      let rd =
-        if cmp_mode then Cmp (Completion.create ())
-        else Rdy (Readiness.create ~backend:rd_backend ())
-      in
       let set =
         {
-          rd;
+          rd = Readiness.create ~backend:rd_backend ();
           fdx = Hashtbl.create 256;
           sbuf = Bytes.create 65536;
           retry_outs = [];
           selfwake;
-          idle = Atomic.make false;
-          ipc_pending = Mailbox.create ();
-          ewma_gap = 1e-3;
-          last_event = Unix.gettimeofday ();
-          rearm_accepts = [];
-          wake_armed = false;
-          next_key = 1;
-          utab = Hashtbl.create 256;
-          last_enters = 0;
-          last_sqes = 0;
-          wait_skips = 0;
         }
       in
-      (* The shard's own wake pipe rides in its set from day one; the
-         completion backend arms it lazily at each wait instead. *)
-      (match set.rd with
-      | Rdy _ ->
-          reg stats set (Wakeup.read_fd selfwake) SelfWake ~read:true
-            ~write:false
-      | Cmp _ -> ());
+      (* The shard's own wake pipe rides in its set from day one. *)
+      reg stats set (Wakeup.read_fd selfwake) SelfWake ~read:true ~write:false;
       set
     in
     (* Move a node into a shard's readiness set. Registration is
@@ -1211,40 +729,16 @@ module Sockets = struct
        poll sweep everything once, after which O(ready) takes over. *)
     let track_node set node =
       node.tracked <- Some set;
-      Atomic.set node.tracked_pub (Some set);
-      (* Salvage half of the Dekker pair in [deliver_inproc]: frames
-         that arrived while this node was unadopted carried no
-         notification — queue one now, before the wait that called us
-         drains [ipc_pending]. *)
-      if
-        inproc
-        && (not (Mailbox.is_empty node.ipc))
-        && Atomic.compare_and_set node.ipc_queued false true
-      then Mailbox.push set.ipc_pending node;
-      (match set.rd with
-      | Rdy _ ->
-          reg stats set node.listen (Listener node) ~read:true ~write:false;
-          node.accept_ready <- true;
-          List.iter
-            (fun (ci : conn_in) ->
-              reg stats set ci.fd (In (node, ci)) ~read:true ~write:false;
-              if not ci.ready then begin
-                ci.ready <- true;
-                node.ready_ins <- ci :: node.ready_ins
-              end)
-            node.ins
-      | Cmp c ->
-          (* Submission-driven adoption: an ACCEPT on the listener and
-             a READ per existing connection. Bytes already buffered in
-             the kernel complete those reads immediately, so no
-             conservative ready sweep is needed. *)
-          Atomic.incr stats.fds_registered;
-          arm_accept set c node;
-          List.iter
-            (fun (ci : conn_in) ->
-              Atomic.incr stats.fds_registered;
-              arm_read set c node ci)
-            node.ins);
+      reg stats set node.listen (Listener node) ~read:true ~write:false;
+      node.accept_ready <- true;
+      List.iter
+        (fun (ci : conn_in) ->
+          reg stats set ci.fd (In (node, ci)) ~read:true ~write:false;
+          if not ci.ready then begin
+            ci.ready <- true;
+            node.ready_ins <- ci :: node.ready_ins
+          end)
+        node.ins;
       Hashtbl.iter
         (fun _ co ->
           (match co.fd with
@@ -1262,41 +756,9 @@ module Sockets = struct
        each event is dispatched through the fd index and surfaced to the
        caller as an [on_ready owner] activation, so the shard loop knows
        exactly which nodes to poll. Nothing here walks the owner list:
-       the cost is O(ready) plus the retry and in-process queues. *)
+       the cost is O(ready) plus the retry queue. *)
     let wait_set set ~timeout_s ~on_ready =
-      (match set.rd with
-      | Rdy _ -> ()
-      | Cmp c ->
-          (* The wake pipe rides as a one-shot poll; its completion
-             unarms in dispatch and the next wait re-arms here. *)
-          if not set.wake_armed then begin
-            set.wake_armed <- true;
-            Completion.prep_poll c (Wakeup.read_fd set.selfwake) 1
-              (fresh_key set U_wake)
-          end;
-          (* Listeners whose accept completed with a hard error retry
-             here, once per wait, instead of respinning hot. *)
-          if set.rearm_accepts <> [] then begin
-            let pending = set.rearm_accepts in
-            set.rearm_accepts <- [];
-            List.iter (fun node -> arm_accept set c node) pending
-          end);
       let timeout = ref (Float.max 0.0 (Float.min timeout_s max_wait_s)) in
-      (* In-process frames need no fd: drain the senders' notifications
-         into activations. Clearing [ipc_queued] before [on_ready]
-         guarantees a frame pushed after the drain re-notifies. *)
-      let drain_pending () =
-        let woken = ref 0 in
-        List.iter
-          (fun (dnode : node) ->
-            Atomic.set dnode.ipc_queued false;
-            incr woken;
-            on_ready dnode.id)
-          (Mailbox.drain set.ipc_pending);
-        !woken
-      in
-      let woken = if inproc then drain_pending () else 0 in
-      if woken > 0 then timeout := 0.0;
       (* Down peers with queued bytes wake their owner when the backoff
          expires; until then they bound the sleep. *)
       if set.retry_outs <> [] then begin
@@ -1324,152 +786,50 @@ module Sockets = struct
               end)
             set.retry_outs
       end;
-      (* Adaptive spin: before paying the blocking syscall, busy-poll
-         the signals visible from user space alone — the mapped CQ ring
-         and the in-process mailbox — for a window sized by the recent
-         inter-event gap. A hit turns the kernel wait into a free
-         zero-timeout drain; a miss costs a few microseconds of CPU.
-         Spinning adds zero syscalls either way, which is why only
-         those two signals qualify. *)
-      (if spin && !timeout > 0.0 && (cmp_mode || inproc) then begin
-         let signal () =
-           (inproc && not (Mailbox.is_empty set.ipc_pending))
-           ||
-           match set.rd with
-           | Cmp c -> Completion.cq_pending c
-           | Rdy _ -> false
-         in
-         let budget = Float.min 100e-6 (Float.max 2e-6 (4.0 *. set.ewma_gap)) in
-         let t0 = Unix.gettimeofday () in
-         let hit = ref (signal ()) in
-         while (not !hit) && Unix.gettimeofday () -. t0 < budget do
-           Domain.cpu_relax ();
-           hit := signal ()
-         done;
-         if !hit then begin
-           Atomic.incr stats.spin_hits;
-           timeout := 0.0
-         end
-         else Atomic.incr stats.spin_misses
-       end);
-      (* With in-process work already in hand, the kernel visit can be
-         pure overhead: there is nothing to block for (timeout 0), and
-         in completion mode an empty SQ and CQ make the elided enter
-         provably a no-op — an async completion landing meanwhile is
-         visible in the mapped CQ from user space and forces the next
-         wait in. Readiness mode cannot prove the absence of socket
-         events from user space, so its skips are bounded: every 64th
-         wait visits the kernel and picks up whatever accrued. *)
-      let skip_kernel =
-        woken > 0 && !timeout <= 0.0
-        &&
-        match set.rd with
-        | Cmp c -> Completion.sq_pending c = 0 && not (Completion.cq_pending c)
-        | Rdy _ -> set.wait_skips < 63
-      in
-      if skip_kernel then set.wait_skips <- set.wait_skips + 1
-      else begin
-      set.wait_skips <- 0;
-      (* Dekker handshake with in-process senders: publish idleness,
-         then re-check the mailbox. A sender pushes first and wakes only
-         if it saw [idle]; whichever side loses the race, either the
-         recheck sees the push or the sender sees the flag — the wake
-         cannot be lost. *)
-      if inproc then begin
-        Atomic.set set.idle true;
-        if not (Mailbox.is_empty set.ipc_pending) then timeout := 0.0
-      end;
+      Atomic.incr stats.wait_calls;
+      (* Idle-Out connections torn down by the peer (ERR/HUP with zero
+         write interest) are collected here and dropped only after the
+         dispatch loop finishes: Readiness.wait's callback must not
+         mutate the set, and an eager remove would swap-compact the poll
+         backend's dense arrays mid-iteration. *)
+      let dead_outs = ref [] in
       let ready =
-        match set.rd with
-        | Rdy rd ->
-            Atomic.incr stats.wait_calls;
-            (* Idle-Out connections torn down by the peer (ERR/HUP with
-               zero write interest) are collected here and dropped only
-               after the dispatch loop finishes: Readiness.wait's
-               callback must not mutate the set, and an eager remove
-               would swap-compact the poll backend's dense arrays
-               mid-iteration. *)
-            let dead_outs = ref [] in
-            let ready =
-              Readiness.wait rd ~timeout_s:!timeout
-                (fun ~fd ~readable ~writable ->
-                  match Hashtbl.find_opt set.fdx fd with
-                  | None -> ()
-                  | Some SelfWake -> Wakeup.drain set.selfwake
-                  | Some (Listener node) ->
-                      if readable then begin
-                        node.accept_ready <- true;
-                        on_ready node.id
-                      end
-                  | Some (In (node, ci)) ->
-                      if readable && not ci.ready then begin
-                        ci.ready <- true;
-                        node.ready_ins <- ci :: node.ready_ins;
-                        on_ready node.id
-                      end
-                  | Some (Out (node, co)) ->
-                      if queued co = 0 then begin
-                        (* Zero interest, yet an event: only ERR/HUP can
-                           land here — the peer closed an idle
-                           connection. Drop it (deferred) or
-                           level-triggered epoll reports it on every
-                           wait. *)
-                        match co.fd with
-                        | Some cfd when fd_int cfd = fd ->
-                            dead_outs := (cfd, co) :: !dead_outs
-                        | _ -> ()
-                      end
-                      else if writable then on_ready node.id)
-            in
-            List.iter
-              (fun (cfd, co) ->
-                unreg stats set cfd;
-                close_quietly cfd;
-                co.fd <- None)
-              !dead_outs;
-            ready
-        | Cmp c ->
-            (* One enter flushes every submission queued since the last
-               wait and collects every completion. [dispatch_cqe] may
-               prep (re-arms, chained writes); Completion.enter keeps
-               draining until the CQ is empty, so those complete in the
-               same wait when they finish instantly. *)
-            let timeout_ns =
-              if !timeout <= 0.0 then 0
-              else int_of_float (Float.round (!timeout *. 1e9))
-            in
-            let dispatched =
-              Completion.enter c ~timeout_ns
-                ~f:(dispatch_cqe stats set c on_ready)
-            in
-            (* Fold the ring's cumulative counters into the shared stats
-               by diffing against the last wait — this charges preps and
-               SQ-full flushes made outside the wait too, so
-               syscalls-per-grant stays honest. *)
-            let enters = Completion.enter_syscalls c
-            and sqes = Completion.sqes_submitted c in
-            ignore
-              (Atomic.fetch_and_add stats.wait_calls
-                 (enters - set.last_enters));
-            ignore
-              (Atomic.fetch_and_add stats.sqes_submitted
-                 (sqes - set.last_sqes));
-            set.last_enters <- enters;
-            set.last_sqes <- sqes;
-            dispatched
+        Readiness.wait set.rd ~timeout_s:!timeout
+          (fun ~fd ~readable ~writable ->
+            match Hashtbl.find_opt set.fdx fd with
+            | None -> ()
+            | Some SelfWake -> Wakeup.drain set.selfwake
+            | Some (Listener node) ->
+                if readable then begin
+                  node.accept_ready <- true;
+                  on_ready node.id
+                end
+            | Some (In (node, ci)) ->
+                if readable && not ci.ready then begin
+                  ci.ready <- true;
+                  node.ready_ins <- ci :: node.ready_ins;
+                  on_ready node.id
+                end
+            | Some (Out (node, co)) ->
+                if queued co = 0 then begin
+                  (* Zero interest, yet an event: only ERR/HUP can land
+                     here — the peer closed an idle connection. Drop it
+                     (deferred) or level-triggered epoll reports it on
+                     every wait. *)
+                  match co.fd with
+                  | Some cfd when fd_int cfd = fd ->
+                      dead_outs := (cfd, co) :: !dead_outs
+                  | _ -> ()
+                end
+                else if writable then on_ready node.id)
       in
-      if inproc then begin
-        Atomic.set set.idle false;
-        ignore (drain_pending () : int)
-      end;
-      if ready > 0 then begin
-        let now = Unix.gettimeofday () in
-        let gap = Float.max 1e-6 (now -. set.last_event) in
-        set.ewma_gap <- (0.875 *. set.ewma_gap) +. (0.125 *. gap);
-        set.last_event <- now;
-        ignore (Atomic.fetch_and_add stats.fds_ready ready)
-      end
-      end
+      List.iter
+        (fun (cfd, co) ->
+          unreg stats set cfd;
+          close_quietly cfd;
+          co.fd <- None)
+        !dead_outs;
+      if ready > 0 then ignore (Atomic.fetch_and_add stats.fds_ready ready)
     in
     (* The owner walk happens here, once: ranges, hosting and exclusive
        membership are checked at creation, and the first wait adopts the
@@ -1544,10 +904,7 @@ module Sockets = struct
       Mutex.unlock handles_mu;
       List.iter
         (fun h ->
-          (match h.hset with
-          | Some { rd = Rdy rd; _ } -> Readiness.close rd
-          | Some { rd = Cmp c; _ } -> Completion.close c
-          | None -> ());
+          (match h.hset with Some set -> Readiness.close set.rd | None -> ());
           Wakeup.close h.wakeup)
         hs
     in
@@ -1574,8 +931,8 @@ end
 
 let loopback ~clock ~n = Loopback.create ~clock ~n
 
-let sockets ?readiness ?spin ?inproc ~clock ~n ~owned ~addrs () =
-  Sockets.create ?readiness ?spin ?inproc ~clock ~n ~owned ~addrs ()
+let sockets ?readiness ~clock ~n ~owned ~addrs () =
+  Sockets.create ?readiness ~clock ~n ~owned ~addrs ()
 
 let uds_addrs ~dir ~n =
   Array.init n (fun i ->

@@ -33,8 +33,8 @@
 
     {b Readiness.} A shard waits through a {!shard} handle that fixes
     its owners once. The handle's first {!wait} moves those nodes' fds
-    into a per-shard {!Readiness} set (epoll on Linux, poll elsewhere,
-    select as a forced baseline — see {!Readiness.backend}); fds
+    into a per-shard {!Readiness} set (epoll on Linux, poll elsewhere —
+    see {!Readiness.backend}); fds
     register once and every subsequent wait costs O(ready), not
     O(connections) or O(owners). Ready events are dispatched through a
     persistent fd index and surfaced to the caller as [on_ready owner]
@@ -77,20 +77,6 @@ type stats = {
   fds_registered : int Atomic.t;
       (** Gauge: fds currently registered across all shard readiness
           sets (listeners, connections, wake pipes). *)
-  spin_hits : int Atomic.t;
-      (** Adaptive-spin windows that ended with work already in hand
-          (mapped completion queue or in-process mailbox non-empty), so
-          the kernel wait became a free zero-timeout drain. *)
-  spin_misses : int Atomic.t;
-      (** Spin windows that expired empty and fell through to a blocking
-          wait. *)
-  sqes_submitted : int Atomic.t;
-      (** io_uring submissions queued (completion mode only). Divided by
-          [wait_calls] this gives the average submission batch riding
-          each enter. *)
-  inproc_frames : int Atomic.t;
-      (** Frames delivered through the in-process fast path — no socket,
-          no syscall, never counted in [write_syscalls]/[read_syscalls]. *)
 }
 
 (** One coherent reading of every counter. Each field is a single
@@ -112,10 +98,6 @@ type snapshot = {
   snap_wait_calls : int;
   snap_fds_ready : int;
   snap_fds_registered : int;
-  snap_spin_hits : int;
-  snap_spin_misses : int;
-  snap_sqes_submitted : int;
-  snap_inproc_frames : int;
 }
 
 type t
@@ -124,9 +106,9 @@ val name : t -> string
 (** Backend name for report stamping: ["loopback"], ["tcp"] or ["unix"]. *)
 
 val readiness_backend : t -> string
-(** Backend driving {!wait}: ["uring"], ["epoll"], ["poll"] or
-    ["select"] for sockets (the backend actually in use after loud
-    fallback, not the one requested); ["none"] for loopback. *)
+(** Backend driving {!wait}: ["epoll"] or ["poll"] for sockets (the
+    backend actually in use after loud fallback, not the one requested);
+    ["none"] for loopback. *)
 
 val stats : t -> stats
 
@@ -218,8 +200,6 @@ val loopback : clock:Clock.t -> n:int -> t
 
 val sockets :
   ?readiness:Readiness.backend ->
-  ?spin:bool ->
-  ?inproc:bool ->
   clock:Clock.t ->
   n:int ->
   owned:int list ->
@@ -232,27 +212,8 @@ val sockets :
 
     [readiness] forces a wait backend; the default honours
     [TR_READINESS] and otherwise picks the best available (epoll, then
-    poll — see {!Readiness.default_backend}). Forcing (or resolving to)
-    [Uring] switches the whole transport into completion mode: reads,
-    writes and accepts become batched io_uring submissions flushed by
-    the single enter of each {!wait}, and an unavailable uring falls
-    back loudly down the chain.
-
-    [spin] (default [TR_SPIN], else off) enables the adaptive
-    spin-then-block window before each blocking wait; it only ever
-    polls user-space signals, so it never adds syscalls. On a
-    single-CPU host the window is gated off with a loud stderr notice:
-    an idle shard's busy-poll would steal the working shard's only
-    core, inverting the trade.
-
-    [inproc] (default [TR_INPROC], else off) routes frames between
-    co-hosted nodes through lock-free in-process mailboxes — identical
-    framing and delivery order, zero syscalls per hop. A {!wait} that
-    drained in-process work skips the kernel visit entirely when it has
-    nothing to block for (in completion mode only when the submission
-    and completion queues are both provably empty; in readiness mode at
-    most 63 times in a row, so socket fds are still visited).
-    Cross-process peers are unaffected.
+    poll — see {!Readiness.default_backend}). Frames between co-hosted
+    nodes travel over the same sockets as any other.
     @raise Invalid_argument on bad [owned] ids or array size.
     @raise Failure on an unavailable forced backend or a bad
     [TR_READINESS] value. *)

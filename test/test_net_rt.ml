@@ -296,25 +296,35 @@ let test_unix_sockets_cluster () =
       Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors;
       Alcotest.(check string) "backend" "unix" report.Cluster.backend)
 
+(* ---------------- clock ---------------- *)
+
+(* [Clock.now] reads CLOCK_MONOTONIC and shares no state between
+   domains: each domain's readings never go backwards, and a reading
+   another domain published is never ahead of a later local one. *)
+let test_clock_monotone_across_domains () =
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-6 () in
+  let published = [| Atomic.make 0.0; Atomic.make 0.0 |] in
+  let reader me () =
+    let last = ref 0.0 and ok = ref true in
+    for _ = 1 to 200_000 do
+      let seen = Atomic.get published.(1 - me) in
+      let v = Tr_net_rt.Clock.now clock in
+      if v < !last || v < seen then ok := false;
+      last := v;
+      Atomic.set published.(me) v
+    done;
+    !ok
+  in
+  let other = Domain.spawn (reader 1) in
+  let mine = reader 0 () in
+  Alcotest.(check bool) "domain 0 never saw time go back" true mine;
+  Alcotest.(check bool)
+    "domain 1 never saw time go back" true (Domain.join other)
+
 (* ---------------- readiness backends ---------------- *)
 
-(* Uring joins the pool when this kernel can create a ring, so the
-   parity/chunking tests below cover the completion transport too. The
-   skip is loud: a CI lane silently never exercising uring is exactly
-   the kind of gap the forced-backend machinery exists to prevent. *)
-let uring_skip_notice =
-  lazy
-    (if not (Readiness.available Readiness.Uring) then
-       Printf.eprintf
-         "[test_net_rt] SKIP: io_uring unavailable on this kernel (or \
-          TR_URING_DISABLE set); uring legs of the parity/chunking tests \
-          will not run\n\
-          %!")
-
 let available_backends () =
-  Lazy.force uring_skip_notice;
-  List.filter Readiness.available
-    [ Readiness.Uring; Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+  List.filter Readiness.available [ Readiness.Epoll; Readiness.Poll ]
 
 (* Register / report / level-trigger / remove, for every backend this
    build can create. *)
@@ -363,14 +373,25 @@ let test_readiness_config () =
   (match Readiness.backend_of_string " Poll " with
   | Ok Readiness.Poll -> ()
   | _ -> Alcotest.fail "trimmed/cased parse failed");
+  (* The deleted backends are unknown names now, not silent fallbacks. *)
+  List.iter
+    (fun name ->
+      match Readiness.backend_of_string name with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "removed backend %S accepted" name)
+    [ "uring"; "select" ];
   let saved = Sys.getenv_opt "TR_READINESS" in
-  Unix.putenv "TR_READINESS" "bogus";
-  (match Readiness.default_backend () with
-  | exception Failure msg ->
-      Alcotest.(check bool)
-        "failure names TR_READINESS" true
-        (String.length msg >= 12 && String.sub msg 0 12 = "TR_READINESS")
-  | _ -> Alcotest.fail "unknown TR_READINESS did not fail");
+  List.iter
+    (fun value ->
+      Unix.putenv "TR_READINESS" value;
+      match Readiness.default_backend () with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (value ^ ": failure names TR_READINESS")
+            true
+            (String.length msg >= 12 && String.sub msg 0 12 = "TR_READINESS")
+      | _ -> Alcotest.failf "TR_READINESS=%s did not fail" value)
+    [ "bogus"; "select" ];
   (* An empty value reads as unset, so restoring is always possible. *)
   Unix.putenv "TR_READINESS" (Option.value saved ~default:"");
   if saved = None || saved = Some "" then begin
@@ -434,73 +455,25 @@ let test_readiness_env_forcing () =
                 "TR_READINESS=poll forces the transport backend" "poll"
                 (Transport.readiness_backend t))))
 
-(* The uring link of the fallback chain: parsing, the TR_URING_DISABLE
-   kill-switch (simulating an ENOSYS/EPERM kernel), and the loud
-   degradation uring -> epoll -> ... reaching an actual transport. *)
-let test_uring_fallback_chain () =
-  (match Readiness.backend_of_string "uring" with
-  | Ok Readiness.Uring -> ()
-  | _ -> Alcotest.fail "\"uring\" did not parse");
-  (match Readiness.backend_of_string "io_uring" with
-  | Ok Readiness.Uring -> ()
-  | _ -> Alcotest.fail "\"io_uring\" alias did not parse");
-  let saved = Sys.getenv_opt "TR_URING_DISABLE" in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Empty reads as unset, so restoring is always possible. *)
-      Unix.putenv "TR_URING_DISABLE" (Option.value saved ~default:""))
-    (fun () ->
-      Unix.putenv "TR_URING_DISABLE" "1";
-      Alcotest.(check bool)
-        "kill-switch makes uring unavailable" false
-        (Readiness.available Readiness.Uring);
-      let next =
-        if Readiness.available Readiness.Epoll then Readiness.Epoll
-        else Readiness.Poll
-      in
-      Alcotest.(check string)
-        "resolve falls down the chain"
-        (Readiness.backend_name next)
-        (Readiness.backend_name (Readiness.resolve ~source:"test" Readiness.Uring));
-      (* End to end: a transport forced onto uring under the kill-switch
-         must come up on the fallback and say so in its report label. *)
-      with_temp_dir (fun dir ->
-          let addrs = Transport.uds_addrs ~dir ~n:2 in
-          let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
-          let t =
-            Transport.sockets ~readiness:Readiness.Uring ~clock ~n:2
-              ~owned:[ 0; 1 ] ~addrs ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Transport.close t)
-            (fun () ->
-              Alcotest.(check string)
-                "forced uring fell back loudly"
-                (Readiness.backend_name next)
-                (Transport.readiness_backend t))))
-
 (* ---------------- backend parity over real sockets ---------------- *)
 
 (* The same closed-loop UDS ring, forced onto each backend in turn: the
    token is unique, so a single-shard run's processed-token sequence is
-   deterministic and must be byte-identical across epoll, poll and
-   select. Also pins the observability satellite: the report names the
+   deterministic and must be byte-identical across epoll and poll. Also
+   pins the observability satellite: the report names the
    forced backend and carries live wait counters. *)
-let capture_sockets_ring_log ?(spin = false) ?(inproc = false) ?(shards = 1)
-    ~backend ~n ~grants ~keep () =
+let capture_sockets_ring_log ~backend ~n ~grants ~keep () =
   with_temp_dir (fun dir ->
       let addrs = Transport.uds_addrs ~dir ~n in
       let config =
         {
           (Cluster.default_config ~n ~seed:7) with
           unit_s = 1e-3;
-          shards;
+          shards = 1;
           load = Cluster.Closed_loop { depth = 1 };
           stop = Cluster.Grants grants;
           max_wall_s = 30.0;
           readiness = Some backend;
-          spin;
-          inproc;
         }
       in
       let mu = Mutex.create () in
@@ -561,64 +534,6 @@ let test_backend_parity () =
             (Printf.sprintf "%s token log == %s token log" name name0)
             log0 log)
         rest
-
-(* The in-process fast path must be invisible on the wire: the same
-   forced-backend closed-loop ring, with every hop short-circuited
-   through lock-free mailboxes, must produce a byte-identical processed
-   token log — and the report must prove the fast path actually carried
-   frames. *)
-let test_inproc_parity () =
-  let backend =
-    if Readiness.available Readiness.Epoll then Readiness.Epoll
-    else Readiness.Poll
-  in
-  let plain, log_plain =
-    capture_sockets_ring_log ~backend ~n:3 ~grants:60 ~keep:40 ()
-  in
-  let fast, log_fast =
-    capture_sockets_ring_log ~inproc:true ~backend ~n:3 ~grants:60 ~keep:40 ()
-  in
-  Alcotest.(check int)
-    "no inproc frames when disabled" 0 plain.Cluster.inproc_frames;
-  Alcotest.(check bool)
-    "fast path carried frames" true
-    (fast.Cluster.inproc_frames > 0);
-  Alcotest.(check int) "zero decode errors" 0 fast.Cluster.decode_errors;
-  Alcotest.(check string)
-    "token log identical through the fast path" log_plain log_fast;
-  (* Co-hosted hops never touch a socket, so the syscall bill collapses. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "syscalls/grant dropped (%.2f -> %.2f)"
-       plain.Cluster.syscalls_per_grant fast.Cluster.syscalls_per_grant)
-    true
-    (fast.Cluster.syscalls_per_grant < plain.Cluster.syscalls_per_grant)
-
-(* The adaptive spin window only arms when there is a user-space signal
-   to poll (completion ring or in-process mailboxes) and the shard would
-   otherwise block; two shards passing the token back and forth block
-   between hops, so the hit/miss counters must move — except on a
-   single-CPU host, where the transport gates spinning off (the idle
-   shard's busy-poll would steal the working shard's only core) and the
-   counters must stay exactly zero. Both branches are real assertions:
-   this test pins the gate itself. *)
-let test_spin_smoke () =
-  let backend =
-    if Readiness.available Readiness.Epoll then Readiness.Epoll
-    else Readiness.Poll
-  in
-  let report, _ =
-    capture_sockets_ring_log ~spin:true ~inproc:true ~shards:2 ~backend ~n:4
-      ~grants:60 ~keep:0 ()
-  in
-  let windows = report.Cluster.spin_hits + report.Cluster.spin_misses in
-  if Readiness.ncpus () > 1 then
-    Alcotest.(check bool)
-      (Printf.sprintf "spin windows ran (hits=%d misses=%d)"
-         report.Cluster.spin_hits report.Cluster.spin_misses)
-      true (windows > 0)
-  else
-    Alcotest.(check int) "single-CPU host: spin gated off" 0 windows;
-  Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors
 
 (* Regression guard for the teardown race in report assembly: totals
    must come from one coherent [snapshot], not field-by-field re-reads
@@ -744,11 +659,7 @@ let test_shard_rejects_bad_owners () =
           (* The refused handle above must not have claimed node 0. *)
           ignore (Transport.shard t ~owners:[ 0 ])))
 
-(* One shard handle over a two-node UDS transport under each backend,
-   uring last: closing a ring hands task work to the closing thread some
-   milliseconds later, which interrupts whatever wait that thread is in
-   then (EINTR, a documented early return) and would cut short the
-   timed waits of the next backend. *)
+(* One shard handle over a two-node UDS transport under each backend. *)
 let with_wake_shard f =
   List.iter
     (fun backend ->
@@ -765,7 +676,7 @@ let with_wake_shard f =
             (fun () ->
               f (Readiness.backend_name backend) t
                 (Transport.shard t ~owners:[ 0; 1 ]))))
-    (List.rev (available_backends ()))
+    (available_backends ())
 
 let timed_wait shard ~timeout_s =
   let t0 = Unix.gettimeofday () in
@@ -1092,6 +1003,18 @@ let test_network_validation () =
       Network.create ~reliable_delay:(Network.Constant (-0.5)) ());
   expect_invalid "exponential zero" (fun () ->
       Network.create ~cheap_delay:(Network.Exponential 0.0) ());
+  (* The live cluster's config is checked the same way before any node
+     runs: a NaN wall cap would compare false against every elapsed time
+     and disable the safety cap. *)
+  let cluster name config =
+    expect_invalid name (fun () ->
+        Cluster.run_packed config (Codecs.find_exn "ring"))
+  in
+  let base = Cluster.default_config ~n:4 ~seed:1 in
+  cluster "hop_delay nan" { base with hop_delay = Float.nan };
+  cluster "max_wall_s nan" { base with max_wall_s = Float.nan };
+  cluster "max_wall_s infinite" { base with max_wall_s = Float.infinity };
+  cluster "max_wall_s zero" { base with max_wall_s = 0.0 };
   (* Valid models still construct. *)
   let (_ : Network.t) =
     Network.create
@@ -1143,6 +1066,11 @@ let () =
       ( "sockets",
         [ Alcotest.test_case "unix-domain cluster" `Quick
             test_unix_sockets_cluster ] );
+      ( "clock",
+        [
+          Alcotest.test_case "now non-decreasing across domains" `Quick
+            test_clock_monotone_across_domains;
+        ] );
       ( "readiness",
         [
           Alcotest.test_case "register/report/remove" `Quick
@@ -1157,11 +1085,6 @@ let () =
             test_backend_parity;
           Alcotest.test_case "adversarial chunking per backend" `Quick
             test_adversarial_chunking;
-          Alcotest.test_case "uring fallback chain" `Quick
-            test_uring_fallback_chain;
-          Alcotest.test_case "inproc fast-path parity" `Quick
-            test_inproc_parity;
-          Alcotest.test_case "adaptive spin counters" `Quick test_spin_smoke;
           Alcotest.test_case "stats snapshot coherent" `Quick
             test_stats_snapshot_coherent;
         ] );
