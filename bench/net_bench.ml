@@ -180,15 +180,17 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 (* Same pump over a Unix-domain stream socket (both ends hosted in this
-   process: node 0 writes, node 1 reads; poll 0 flushes, poll 1 drains).
+   process under one shard handle: node 0 writes, node 1 reads; poll 0
+   flushes, a zero-timeout wait learns what is readable, poll 1 drains).
    Returns (frames_sent, bytes_sent, write_syscalls, read_syscalls) —
-   one poll now flushes a whole batch with a single write(2), where the
-   pre-refactor path paid one write(2) per frame. *)
+   one poll flushes a whole batch with a single write(2). *)
 let pump_uds ~total () =
   with_temp_dir (fun dir ->
       let clock = Clock.create ~unit_s:1e-3 () in
       let addrs = Transport.uds_addrs ~dir ~n:2 in
       let t = Transport.sockets ~clock ~n:2 ~owned:[ 0; 1 ] ~addrs () in
+      let shard = Transport.shard t ~owners:[ 0; 1 ] in
+      Transport.wait shard ~timeout_s:0.0 ();
       let scratch = Codec.scratch () in
       let received = ref 0 in
       let sent = ref 0 in
@@ -210,6 +212,7 @@ let pump_uds ~total () =
         done;
         (* Flush node 0's coalesced buffer, then drain node 1's socket. *)
         Transport.poll t ~owner:0 (fun _ -> ());
+        Transport.wait shard ~timeout_s:0.0 ();
         Transport.poll t ~owner:1 on_frame
       done;
       let stats = Transport.stats t in

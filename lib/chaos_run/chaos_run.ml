@@ -205,7 +205,7 @@ let run_live ~protocol ~n ~seed ~spec ?backend ?(mean = 10.0) ?deadline
 (* ---------------- export ---------------- *)
 
 let outcome_json (o : outcome) =
-  let open Tr_net_rt.Live_export in
+  let open Tr_stats.Json in
   obj
     [
       ("kind", json_string "chaos_run");

@@ -1,4 +1,5 @@
 external monotonic_ns : unit -> int = "tr_rd_monotonic_ns" [@@noalloc]
+external set_timer_slack_ns : int -> unit = "tr_rd_set_timer_slack" [@@noalloc]
 
 type t = { epoch_ns : int; unit_s : float }
 
@@ -11,6 +12,6 @@ let unit_s t = t.unit_s
 let elapsed_wall t = float_of_int (monotonic_ns () - t.epoch_ns) *. 1e-9
 let now t = elapsed_wall t /. t.unit_s
 
-let sleep_until t units =
-  let d = (units -. now t) *. t.unit_s in
-  if d > 0.0 then Unix.sleepf d
+let bound_oversleep t =
+  set_timer_slack_ns
+    (Stdlib.max 1 (Stdlib.min 50_000 (int_of_float (t.unit_s *. 1e9 /. 80.0))))

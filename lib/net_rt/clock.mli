@@ -26,6 +26,8 @@ val now : t -> float
 val elapsed_wall : t -> float
 (** Wall seconds since [create]. *)
 
-val sleep_until : t -> float -> unit
-(** [sleep_until t units] sleeps until the clock reads [units] (no-op if
-    already past). *)
+val bound_oversleep : t -> unit
+(** Let the calling thread's sleeps overrun their deadline by at most
+    1/80 of a unit, and never by more than Linux's default 50 us timer
+    slack. The default alone is five units at [unit_s = 1e-5], so a
+    one-unit hop would take six. Advisory; a no-op off Linux. *)

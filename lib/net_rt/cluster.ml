@@ -96,13 +96,6 @@ type ('state, 'msg) rt = {
   ctx : 'msg Node_intf.ctx;
 }
 
-(* When a loopback shard can't bound its next event (frames that other
-   domains may queue mid-sleep), it naps at most this many units so
-   surprises are picked up promptly. Socket shards don't nap on a
-   cadence at all — they block in [Transport.wait] until a descriptor
-   or a wake pipe is ready. *)
-let idle_cap_units = 0.5
-
 let validate (config : config) =
   if config.n < 2 then invalid_arg "Cluster.run: n < 2";
   if config.shards < 1 then invalid_arg "Cluster.run: shards < 1";
@@ -141,33 +134,26 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   in
   let owned_arr = Array.of_list owned in
   let n_owned = Array.length owned_arr in
-  let use_poll = Transport.poll_driven transport in
   (* The shard layout is fixed before any protocol code runs so the ctx
      closures (set_timer, serve) can address their shard's structures
      directly. *)
   let shards = Stdlib.min config.shards n_owned in
   let shard_of = Array.make n (-1) in
   Array.iteri (fun idx i -> shard_of.(i) <- idx mod shards) owned_arr;
-  (* Socket-shard plumbing: the transport's shard handle (the shard's
-     readiness set and its one wake pipe), an activation mailbox (which
-     nodes to step next — the shard never scans its full node list), and
-     a timer index heap (earliest due time per armed timer, so an idle
-     shard knows exactly how long to sleep). Entries in the index may be
-     stale after a cancel; the cost is one spurious activation, never a
-     missed timer. *)
+  (* Shard plumbing: the transport's shard handle (what the shard waits
+     on, and how it learns which nodes have frames), an activation
+     mailbox (which nodes to step next — the shard never scans its full
+     node list), and a timer index heap (earliest due time per armed
+     timer, so an idle shard knows exactly how long to sleep). Entries
+     in the index may be stale after a cancel; the cost is one spurious
+     activation, never a missed timer. *)
   let handles =
-    if use_poll then
-      Array.init shards (fun s ->
-          Transport.shard transport
-            ~owners:(List.filter (fun i -> shard_of.(i) = s) owned))
-    else [||]
+    Array.init shards (fun s ->
+        Transport.shard transport
+          ~owners:(List.filter (fun i -> shard_of.(i) = s) owned))
   in
-  let act_inbox : int Mailbox.t array =
-    if use_poll then Array.init shards (fun _ -> Mailbox.create ()) else [||]
-  in
-  let timer_index : int Pqueue.t array =
-    if use_poll then Array.init shards (fun _ -> Pqueue.create ()) else [||]
-  in
+  let act_inbox : int Mailbox.t array = Array.init shards (fun _ -> Mailbox.create ()) in
+  let timer_index : int Pqueue.t array = Array.init shards (fun _ -> Pqueue.create ()) in
   let metrics = Metrics.create ~n in
   let mu = Mutex.create () in
   let with_mu f =
@@ -182,11 +168,11 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     Atomic.set stop_flag true;
     wake_all ()
   in
-  (* Cross-shard activation: queue the node and poke the shard's wake
-     pipe (level-triggered: a byte written before the shard enters its
-     wait still wakes it, and that wait drains it). *)
+  (* Cross-shard activation: queue the node and wake its shard (on
+     sockets a level-triggered pipe: a byte written before the shard
+     enters its wait still wakes it, and that wait drains it). *)
   let wake_node i =
-    if use_poll && i >= 0 && i < n && shard_of.(i) >= 0 then begin
+    if i >= 0 && i < n && shard_of.(i) >= 0 then begin
       Mailbox.push act_inbox.(shard_of.(i)) i;
       Transport.wake handles.(shard_of.(i))
     end
@@ -194,7 +180,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   (* Same-shard activation (a serve re-arming its own node): the shard
      drains its mailbox before every sleep, so no pipe write is needed. *)
   let note_local i =
-    if use_poll && shard_of.(i) >= 0 then Mailbox.push act_inbox.(shard_of.(i)) i
+    if shard_of.(i) >= 0 then Mailbox.push act_inbox.(shard_of.(i)) i
   in
   (* Timer plumbing, index-addressed so ctx closures need no [rt]. *)
   let timers = Array.init n (fun _ -> Pqueue.create ()) in
@@ -300,8 +286,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
                     now_u +. delay +. a.Tr_chaos.Injector.extra_delay
                   in
                   Pqueue.push chaos_out.(node) ~time:release (dst, payload);
-                  if use_poll then
-                    Pqueue.push timer_index.(shard_of.(node)) ~time:release node
+                  Pqueue.push timer_index.(shard_of.(node)) ~time:release node
                 end
                 else
                   Transport.send transport ~src:node ~dst ~delay payload
@@ -321,7 +306,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       in
       let at = Clock.now clock +. delay in
       Pqueue.push timers.(node) ~time:at (key, current_epoch ~node ~key);
-      if use_poll then Pqueue.push timer_index.(shard_of.(node)) ~time:at node
+      Pqueue.push timer_index.(shard_of.(node)) ~time:at node
     in
     let cancel_timers ~key =
       if key < 0 then invalid_arg "Cluster: negative timer key";
@@ -430,16 +415,15 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     if chaos_down i then begin
       (* Churned out: frames addressed to it are destroyed, timers and
          queued arrivals are parked for rejoin. Re-index the node at the
-         window's close so the socket shard re-activates it then. *)
+         window's close so the shard re-activates it then. *)
       Transport.poll transport ~owner:i (fun _ -> ());
-      if use_poll then
-        match config.chaos with
-        | Some inj ->
-            let resume =
-              Tr_chaos.Injector.down_until inj ~now:(Clock.now clock) ~node:i
-            in
-            Pqueue.push timer_index.(shard_of.(i)) ~time:resume i
-        | None -> ()
+      match config.chaos with
+      | Some inj ->
+          let resume =
+            Tr_chaos.Injector.down_until inj ~now:(Clock.now clock) ~node:i
+          in
+          Pqueue.push timer_index.(shard_of.(i)) ~time:resume i
+      | None -> ()
     end
     else
     let arrivals = Mailbox.drain req_inbox.(i) in
@@ -502,39 +486,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       Transport.poll transport ~owner:i (fun _ -> ())
     end
   in
-  let next_event_units shard_rts now_u =
-    List.fold_left
-      (fun acc rt ->
-        let acc =
-          if Mailbox.is_empty req_inbox.(rt.id) then acc
-          else if chaos_down rt.id then
-            (* Parked arrivals at a churned-down node are only due when
-               the window closes — treating them as due now would make
-               the shard busy-spin for the whole churn window. *)
-            match config.chaos with
-            | Some inj ->
-                Float.min acc
-                  (Tr_chaos.Injector.down_until inj ~now:now_u ~node:rt.id)
-            | None -> now_u
-          else Float.min acc now_u
-        in
-        let acc =
-          match Pqueue.peek_time timers.(rt.id) with
-          | Some t -> Float.min acc t
-          | None -> acc
-        in
-        let acc =
-          if Array.length chaos_out = 0 then acc
-          else
-            match Pqueue.peek_time chaos_out.(rt.id) with
-            | Some t -> Float.min acc t
-            | None -> acc
-        in
-        match Transport.next_due transport ~owner:rt.id with
-        | Some t -> Float.min acc t
-        | None -> acc)
-      infinity shard_rts
-  in
   let shard_rts =
     List.init shards (fun s ->
         List.filter (fun rt -> shard_of.(rt.id) = s) rts)
@@ -542,49 +493,13 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let pin shard =
     if config.pin_cores then ignore (Readiness.pin_cpu (shard mod Readiness.ncpus ()))
   in
-  (* Loopback shard loop: deliveries carry due times ([next_due] is
-     authoritative), so each pass steps every node and naps to the next
-     event, capped so cross-domain surprises are noticed promptly. *)
-  let loopback_loop ~lead ~shard shard_rts () =
-    pin shard;
-    try
-      while not (Atomic.get stop_flag) do
-        if Clock.elapsed_wall clock > config.max_wall_s then signal_stop ()
-        else begin
-          let now_u = Clock.now clock in
-          if lead then begin
-            (match config.stop with
-            | Duration d -> if now_u >= d then signal_stop ()
-            | Grants _ -> ());
-            match open_loop with Some (pump, _) -> pump now_u | None -> ()
-          end;
-          List.iter (fun rt -> step_node rt now_u) shard_rts;
-          let now2 = Clock.now clock in
-          let next = next_event_units shard_rts now2 in
-          let next =
-            if lead then
-              match open_loop with
-              | Some (_, next_at) -> Float.min next !next_at
-              | None -> next
-            else next
-          in
-          if not (Atomic.get stop_flag) then begin
-            let target = Float.min (now2 +. idle_cap_units) next in
-            if target > now2 then Clock.sleep_until clock target
-          end
-        end
-      done
-    with e ->
-      ignore (Atomic.compare_and_set failure_box None (Some e));
-      signal_stop ()
-  in
-  (* Socket shard loop, active-set form: the shard steps only nodes
-     something happened to — a ready descriptor (reported by
-     [Transport.wait] through [on_ready]), an activation queued by
-     another shard, or a due timer from the index heap. Idle nodes cost
-     nothing per iteration, which is what lets one shard carry 10k+ of
-     them. *)
-  let sockets_loop ~lead ~shard shard_rts () =
+  (* The shard loop, active-set form: the shard steps only nodes
+     something happened to — frames reported by [Transport.wait] through
+     [on_ready] (a ready descriptor, or a loopback delivery come due), an
+     activation queued by another shard, or a due timer from the index
+     heap. Idle nodes cost nothing per iteration, which is what lets one
+     shard carry 10k+ of them. *)
+  let shard_loop ~lead ~shard shard_rts () =
     pin shard;
     let handle = handles.(shard) in
     let inbox = act_inbox.(shard) in
@@ -602,9 +517,8 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     (* First pass sweeps everything: init sends are still unflushed. *)
     List.iter (fun rt -> activate rt.id) shard_rts;
     try
-      (* Adopt the shard's nodes before stepping any: a node polled before
-         its shard's first wait takes the untracked path and allocates a
-         64 KiB read buffer of its own, which it keeps for the whole run. *)
+      (* Adopt the shard's nodes before stepping any: a sockets node
+         cannot be polled before its shard's first wait. *)
       Transport.wait handle ~on_ready:activate ~timeout_s:0.0 ();
       while not (Atomic.get stop_flag) do
         if Clock.elapsed_wall clock > config.max_wall_s then signal_stop ()
@@ -638,17 +552,27 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
               | Some t -> t
               | None -> infinity
             in
+            (* The lead also wakes for the next open-loop arrival and for
+               the [Duration] stop, which an idle cluster would otherwise
+               oversleep. *)
             let next =
               if lead then
-                match open_loop with
-                | Some (_, next_at) -> Float.min next !next_at
-                | None -> next
+                let next =
+                  match open_loop with
+                  | Some (_, next_at) -> Float.min next !next_at
+                  | None -> next
+                in
+                match config.stop with
+                | Duration d -> Float.min next d
+                | Grants _ -> next
               else next
             in
             let timeout_s =
               if not (Mailbox.is_empty inbox) then 0.0
-              else if next = infinity then infinity
-              else Float.max 0.0 ((next -. now2) *. config.unit_s)
+              else
+                Float.min
+                  (Float.max 0.0 ((next -. now2) *. config.unit_s))
+                  (config.max_wall_s -. Clock.elapsed_wall clock)
             in
             Transport.wait handle ~on_ready:activate ~timeout_s ()
           end
@@ -664,8 +588,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let domains =
     List.mapi
       (fun s nodes ->
-        let loop = if use_poll then sockets_loop else loopback_loop in
-        Domain.spawn (loop ~lead:(s = 0) ~shard:s nodes))
+        Domain.spawn (shard_loop ~lead:(s = 0) ~shard:s nodes))
       shard_rts
   in
   List.iter Domain.join domains;

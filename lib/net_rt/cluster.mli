@@ -7,13 +7,21 @@
     unchanged, byte-for-byte.
 
     Nodes are sharded across a configurable number of domains (the
-    container may have a single core, so one-domain-per-node would
+    host may have a single core, so one-domain-per-node would
     oversubscribe; shards sleep when idle instead of spinning). Each
-    shard runs an event loop over the nodes it owns: fire due timers,
-    poll the transport for frames, decode them through the protocol's
-    codec, and process injected load. Metrics feed the {e same}
-    {!Tr_sim.Metrics} accumulator the simulator uses — responsiveness is
-    Definition 3 in both worlds, in the same units. *)
+    shard runs one event loop, the same on both backends, that steps
+    only the nodes something happened to: the transport's {!Transport.wait}
+    reports nodes with frames to read (a ready descriptor, or a loopback
+    delivery come due), other shards queue activations (injected load,
+    closed-loop re-arms), and a per-shard index heap surfaces due timers.
+    A step fires due timers and delivers frames in due-time order,
+    decodes them through the protocol's codec, and processes injected
+    load; an idle node costs nothing. A shard sleeps until its next
+    timer, the lead shard also until its next open-loop arrival and its
+    [Duration] deadline, and every shard at most until the [max_wall_s]
+    deadline. Metrics feed the {e same} {!Tr_sim.Metrics} accumulator
+    the simulator uses — responsiveness is Definition 3 in both worlds,
+    in the same units. *)
 
 type load =
   | No_load  (** Token circulation only. *)

@@ -33,6 +33,7 @@
 
 #ifdef __linux__
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #endif
 
 /* Interest/result bits shared with readiness.ml. */
@@ -266,4 +267,16 @@ CAMLprim value tr_rd_monotonic_ns(value unit)
   struct timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return Val_long((long)ts.tv_sec * 1000000000L + (long)ts.tv_nsec);
+}
+
+/* Set the calling thread's timer slack: how far the kernel may defer a
+   sleep's wake-up to batch it with other timers (Linux default 50 us).
+   Advisory, like pinning; a no-op off Linux. Zero would restore the
+   default, so callers pass at least 1. */
+CAMLprim value tr_rd_set_timer_slack(value ns)
+{
+#ifdef __linux__
+  prctl(PR_SET_TIMERSLACK, (unsigned long)Long_val(ns), 0UL, 0UL, 0UL);
+#endif
+  return Val_unit;
 }

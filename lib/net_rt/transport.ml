@@ -78,11 +78,9 @@ type t = {
   name : string;
   readiness : string;
   stats : stats;
-  poll_driven : bool;
   send : src:int -> dst:int -> delay:float -> string -> unit;
   send_frame : src:int -> dst:int -> delay:float -> Buffer.t -> unit;
   poll : owner:int -> upto:float -> (Frame.view -> unit) -> unit;
-  next_due : owner:int -> float option;
   shard : owners:int list -> shard;
   close : unit -> unit;
 }
@@ -91,11 +89,9 @@ let name t = t.name
 let readiness_backend t = t.readiness
 let stats t = t.stats
 let snapshot t = snapshot_of_stats t.stats
-let poll_driven t = t.poll_driven
 let send t = t.send
 let send_frame t = t.send_frame
 let poll t ?(upto = infinity) ~owner f = t.poll ~owner ~upto f
-let next_due t = t.next_due
 
 let shard t ~owners = t.shard ~owners
 
@@ -137,14 +133,30 @@ let check_node ~what ~n i =
 (* ------------------------------------------------------------------ *)
 
 module Loopback = struct
+  (* Longest nap, in units, of a wait with nothing due: a frame another
+     domain queues mid-sleep cannot cut it short (there is no descriptor
+     to wake on), so this bounds how late such a frame is noticed. *)
+  let sleep_cap_units = 0.5
+
+  (* One per shard handle. Senders on any domain post [(due, owner)] for
+     every frame addressed to one of its owners; the handle's waits move
+     the posts into a due-time heap, so a wait costs O(frames arrived +
+     owners due), never O(owners). *)
+  type index = {
+    arrivals : (float * int) Mailbox.t;
+    due : int Tr_sim.Pqueue.t;  (** Owner domain only. *)
+  }
+
   type node = {
     (* Cross-domain side: producers push (due, frame). *)
     inbox : (float * string) Mailbox.t;
     (* Owner-shard side: deliveries ordered by due time. *)
     pending : string Tr_sim.Pqueue.t;
+    mutable index : index option;  (** Set once, when a handle claims it. *)
   }
 
-  let make_node () = { inbox = Mailbox.create (); pending = Tr_sim.Pqueue.create () }
+  let make_node () =
+    { inbox = Mailbox.create (); pending = Tr_sim.Pqueue.create (); index = None }
 
   (* Move everything the other domains queued into the owner's heap. *)
   let settle node =
@@ -158,11 +170,14 @@ module Loopback = struct
     let push ~src ~dst ~delay frame =
       check_node ~what:"send src" ~n src;
       check_node ~what:"send dst" ~n dst;
-      ignore src;
       Atomic.incr stats.frames_sent;
       ignore (Atomic.fetch_and_add stats.bytes_sent (String.length frame));
       let due = Clock.now clock +. Float.max 0.0 delay in
-      Mailbox.push nodes.(dst).inbox (due, frame)
+      let node = nodes.(dst) in
+      Mailbox.push node.inbox (due, frame);
+      match node.index with
+      | Some ix -> Mailbox.push ix.arrivals (due, dst)
+      | None -> ()
     in
     let send ~src ~dst ~delay frame = push ~src ~dst ~delay frame in
     (* The frame must outlive the mailbox hop, so crossing domains costs
@@ -192,32 +207,83 @@ module Loopback = struct
       in
       deliver ()
     in
-    let next_due ~owner =
-      check_node ~what:"next_due owner" ~n owner;
-      let node = nodes.(owner) in
-      settle node;
-      Tr_sim.Pqueue.peek_time node.pending
+    (* Index the posts, then report every owner with a delivery due by
+       now. An owner with several due frames may be reported more than
+       once. *)
+    let report ix on_ready =
+      List.iter
+        (fun (due, i) -> Tr_sim.Pqueue.push ix.due ~time:due i)
+        (Mailbox.drain ix.arrivals);
+      let now = Clock.now clock in
+      let reported = ref false in
+      while
+        (not (Tr_sim.Pqueue.is_empty ix.due))
+        && Tr_sim.Pqueue.top_time_exn ix.due <= now
+      do
+        on_ready (Tr_sim.Pqueue.pop_exn ix.due);
+        reported := true
+      done;
+      !reported
     in
-    (* Nothing to block on: a wait is a capped sleep, and a wake cannot
-       cut it short. *)
+    (* A handle claims its owners, so sends to them post to its index.
+       Frames queued before the claim are indexed here, once. *)
     let shard ~owners =
-      List.iter (fun i -> check_node ~what:"shard owner" ~n i) owners;
-      {
-        wait_fn =
-          (fun ~timeout_s ~on_ready:_ ->
-            if timeout_s > 0.0 then Unix.sleepf (Float.min timeout_s max_wait_s));
-        wake_fn = ignore;
-      }
+      let claimed =
+        List.map
+          (fun i ->
+            check_node ~what:"shard owner" ~n i;
+            let node = nodes.(i) in
+            if node.index <> None then
+              invalid_arg
+                (Printf.sprintf
+                   "Transport.shard: node %d already belongs to a shard" i);
+            (i, node))
+          owners
+      in
+      let ix = { arrivals = Mailbox.create (); due = Tr_sim.Pqueue.create () } in
+      List.iter
+        (fun (i, node) ->
+          if node.index = None then begin
+            node.index <- Some ix;
+            settle node;
+            match Tr_sim.Pqueue.peek_time node.pending with
+            | Some t -> Tr_sim.Pqueue.push ix.due ~time:t i
+            | None -> ()
+          end)
+        claimed;
+      let unit_s = Clock.unit_s clock in
+      (* A hop lasts one unit, often a few microseconds: the waiting
+         domain's sleeps must not overrun by more than a sliver of it. *)
+      let slack_set = ref false in
+      let wait_fn ~timeout_s ~on_ready =
+        if (not (report ix on_ready)) && timeout_s > 0.0 then begin
+          if not !slack_set then begin
+            Clock.bound_oversleep clock;
+            slack_set := true
+          end;
+          let until_due =
+            match Tr_sim.Pqueue.peek_time ix.due with
+            | Some t -> (t -. Clock.now clock) *. unit_s
+            | None -> infinity
+          in
+          let nap =
+            Float.min
+              (Float.min timeout_s until_due)
+              (Float.min max_wait_s (sleep_cap_units *. unit_s))
+          in
+          if nap > 0.0 then Unix.sleepf nap;
+          ignore (report ix on_ready)
+        end
+      in
+      { wait_fn; wake_fn = ignore }
     in
     {
       name = "loopback";
       readiness = "none";
       stats;
-      poll_driven = false;
       send;
       send_frame;
       poll;
-      next_due;
       shard;
       close = (fun () -> ());
     }
@@ -285,16 +351,14 @@ module Sockets = struct
   (* A node is {e tracked} once its owning shard first calls [wait]: its
      fds then live in that shard's readiness set and [poll] touches only
      what the last wait reported ready — O(ready), not O(connections).
-     Untracked nodes (raw bench pumps that never wait) keep the legacy
-     scan-everything poll. *)
+     Only a tracked node can be polled, so every connection it accepts
+     or dials is registered in that set from birth. *)
   type node = {
     id : int;
     listen : Unix.file_descr;
     nodelay : bool;
     mutable ins : conn_in list;
     outs : (int, conn_out) Hashtbl.t;  (** Keyed by destination node id. *)
-    readbuf : Bytes.t Lazy.t;  (** Untracked mode only; tracked reads share
-                                   the shard set's buffer. *)
     mutable claimed : bool;  (** Belongs to a {!shard} handle. *)
     mutable tracked : shard_set option;
     mutable accept_ready : bool;
@@ -360,10 +424,10 @@ module Sockets = struct
       co.out_len <- 0
     end
 
-  let tear_down stats tracked co =
+  let tear_down stats set co =
     (match co.fd with
     | Some fd ->
-        (match tracked with Some set -> unreg stats set fd | None -> ());
+        unreg stats set fd;
         close_quietly fd
     | None -> ());
     co.fd <- None;
@@ -380,7 +444,7 @@ module Sockets = struct
     co.retry_at <- Unix.gettimeofday () +. co.backoff;
     Atomic.incr stats.reconnects
 
-  let dial stats node co =
+  let dial stats set node co =
     let fd = Unix.socket (Unix.domain_of_sockaddr co.addr) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     (match co.addr with
@@ -391,9 +455,7 @@ module Sockets = struct
       (* Write interest from the start: dialing only ever happens with
          bytes queued, and a connect still in progress completes as a
          writability event. *)
-      match node.tracked with
-      | Some set -> reg stats set fd (Out (node, co)) ~read:false ~write:true
-      | None -> ()
+      reg stats set fd (Out (node, co)) ~read:false ~write:true
     in
     match Unix.connect fd co.addr with
     | () -> connected ()
@@ -403,7 +465,7 @@ module Sockets = struct
     | exception Unix.Unix_error (_, _, _) ->
         close_quietly fd;
         co.fd <- None;
-        tear_down stats node.tracked co
+        tear_down stats set co
 
   (* Append [len] frame bytes to the coalescing buffer. [blit dst dstoff]
      writes them; the caller has already counted the frame. *)
@@ -449,13 +511,13 @@ module Sockets = struct
   (* One [write] covering every queued frame; a partial write means the
      kernel buffer is full, so stop rather than spin. Sends between two
      polls therefore cost at most one syscall total. *)
-  let rec flush stats node co =
+  let rec flush stats set node co =
     if queued co > 0 then
       match co.fd with
       | None ->
           if Unix.gettimeofday () >= co.retry_at then begin
-            dial stats node co;
-            if co.fd <> None then flush stats node co
+            dial stats set node co;
+            if co.fd <> None then flush stats set node co
           end
       | Some fd -> (
           match Unix.write fd co.out co.out_pos (queued co) with
@@ -473,7 +535,7 @@ module Sockets = struct
               Atomic.incr stats.write_syscalls
           | exception Unix.Unix_error (_, _, _) ->
               Atomic.incr stats.write_syscalls;
-              tear_down stats node.tracked co)
+              tear_down stats set co)
 
   let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
@@ -490,7 +552,7 @@ module Sockets = struct
     Unix.set_nonblock fd;
     fd
 
-  let accept_all stats node =
+  let accept_all stats set node =
     let rec go () =
       match Unix.accept ~cloexec:true node.listen with
       | fd, _ ->
@@ -502,12 +564,9 @@ module Sockets = struct
              this point still report readable on the next wait. A dialer
              writes as soon as it connects, so they usually have: mark
              the connection ready so this same poll reads them. *)
-          (match node.tracked with
-          | Some set ->
-              reg stats set fd (In (node, ci)) ~read:true ~write:false;
-              ci.ready <- true;
-              node.ready_ins <- ci :: node.ready_ins
-          | None -> ());
+          reg stats set fd (In (node, ci)) ~read:true ~write:false;
+          ci.ready <- true;
+          node.ready_ins <- ci :: node.ready_ins;
           go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     in
@@ -536,33 +595,19 @@ module Sockets = struct
     in
     go ()
 
-  let drop_in stats node (ci : conn_in) =
-    (match node.tracked with Some set -> unreg stats set ci.fd | None -> ());
+  let drop_in stats set node (ci : conn_in) =
+    unreg stats set ci.fd;
     close_quietly ci.fd;
     node.ins <- List.filter (fun c -> c != ci) node.ins
 
-  (* Legacy poll: scan every connection the node has. Only nodes whose
-     shard never waits (raw pumps) pay this. *)
-  let poll_untracked stats node f =
-    accept_all stats node;
-    let buf = Lazy.force node.readbuf in
-    node.ins <-
-      List.filter
-        (fun ci ->
-          let keep = read_conn stats buf ci f in
-          if not keep then close_quietly ci.fd;
-          keep)
-        node.ins;
-    Hashtbl.iter (fun _ co -> flush stats node co) node.outs
-
-  (* Tracked poll: touch only what readiness reported (accept_ready,
-     ready_ins) plus connections with unflushed bytes (busy). Write
-     interest tracks the busy state so an idle cluster registers no
-     write-side events at all. *)
+  (* Touch only what readiness reported (accept_ready, ready_ins) plus
+     connections with unflushed bytes (busy). Write interest tracks the
+     busy state so an idle cluster registers no write-side events at
+     all. *)
   let poll_tracked stats set node f =
     if node.accept_ready then begin
       node.accept_ready <- false;
-      accept_all stats node
+      accept_all stats set node
     end;
     (match node.ready_ins with
     | [] -> ()
@@ -571,7 +616,7 @@ module Sockets = struct
         List.iter
           (fun ci ->
             ci.ready <- false;
-            if not (read_conn stats set.sbuf ci f) then drop_in stats node ci)
+            if not (read_conn stats set.sbuf ci f) then drop_in stats set node ci)
           ris);
     match node.busy with
     | [] -> ()
@@ -579,7 +624,7 @@ module Sockets = struct
         node.busy <- [];
         List.iter
           (fun co ->
-            flush stats node co;
+            flush stats set node co;
             if queued co = 0 then begin
               co.in_busy <- false;
               match co.fd with
@@ -626,7 +671,6 @@ module Sockets = struct
                 | Unix.ADDR_UNIX _ -> false);
               ins = [];
               outs = Hashtbl.create 4;
-              readbuf = lazy (Bytes.create 65536);
               claimed = false;
               tracked = None;
               accept_ready = false;
@@ -704,9 +748,12 @@ module Sockets = struct
       let node = host ~what:"poll owner" owner in
       match node.tracked with
       | Some set -> poll_tracked stats set node f
-      | None -> poll_untracked stats node f
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Transport.poll: node %d has no shard handle that has waited"
+               owner)
     in
-    let next_due ~owner:_ = None in
     (* The list exists only so close can release the pipes and sets. *)
     let handles_mu = Mutex.create () in
     let handles = ref [] in
@@ -724,33 +771,14 @@ module Sockets = struct
       reg stats set (Wakeup.read_fd selfwake) SelfWake ~read:true ~write:false;
       set
     in
-    (* Move a node into a shard's readiness set. Registration is
-       once-per-fd; the conservative ready flags make the node's next
-       poll sweep everything once, after which O(ready) takes over. *)
+    (* Move a node into a shard's readiness set. An untracked node was
+       never polled, so it has no connections yet: only its listener
+       registers, and its first poll accepts whatever dialed in early.
+       Sends queued before adoption already sit in [busy]. *)
     let track_node set node =
       node.tracked <- Some set;
       reg stats set node.listen (Listener node) ~read:true ~write:false;
-      node.accept_ready <- true;
-      List.iter
-        (fun (ci : conn_in) ->
-          reg stats set ci.fd (In (node, ci)) ~read:true ~write:false;
-          if not ci.ready then begin
-            ci.ready <- true;
-            node.ready_ins <- ci :: node.ready_ins
-          end)
-        node.ins;
-      Hashtbl.iter
-        (fun _ co ->
-          (match co.fd with
-          | Some fd ->
-              reg stats set fd (Out (node, co)) ~read:false
-                ~write:(queued co > 0)
-          | None -> ());
-          if queued co > 0 && not co.in_busy then begin
-            co.in_busy <- true;
-            node.busy <- co :: node.busy
-          end)
-        node.outs
+      node.accept_ready <- true
     in
     (* Block in the shard's readiness set until one of its fds is ready;
        each event is dispatched through the fd index and surfaced to the
@@ -919,11 +947,9 @@ module Sockets = struct
       name;
       readiness = Readiness.backend_name rd_backend;
       stats;
-      poll_driven = true;
       send;
       send_frame;
       poll;
-      next_due;
       shard;
       close;
     }

@@ -32,15 +32,15 @@
     process may so high-N clusters don't trip the soft default.
 
     {b Readiness.} A shard waits through a {!shard} handle that fixes
-    its owners once. The handle's first {!wait} moves those nodes' fds
-    into a per-shard {!Readiness} set (epoll on Linux, poll elsewhere —
-    see {!Readiness.backend}); fds
-    register once and every subsequent wait costs O(ready), not
-    O(connections) or O(owners). Ready events are dispatched through a
-    persistent fd index and surfaced to the caller as [on_ready owner]
-    activations so the shard loop knows exactly which nodes to poll.
-    Nodes no handle ever waits for (raw bench pumps) keep the legacy
-    scan-everything {!poll}. *)
+    its owners once, on either backend, and every wait surfaces work as
+    [on_ready owner] activations so the shard loop knows exactly which
+    nodes to poll. On sockets the handle's first {!wait} moves those
+    nodes' fds into a per-shard {!Readiness} set (epoll on Linux, poll
+    elsewhere — see {!Readiness.backend}); fds register once and every
+    subsequent wait costs O(ready), not O(connections) or O(owners). On
+    loopback each send to a claimed node posts its due time to the
+    handle's arrival index, and a wait turns those posts into a
+    due-time heap: O(frames arrived + owners due). *)
 
 type stats = {
   frames_sent : int Atomic.t;
@@ -141,34 +141,32 @@ val poll : t -> ?upto:float -> owner:int -> (Tr_wire.Frame.view -> unit) -> unit
     write syscall per busy peer per poll. [upto] caps the delivery
     horizon in clock units (loopback only) so the caller can interleave
     timers and deliveries in due-time order; socket arrivals are
-    physical and always due. Once [owner]'s shard has called {!wait},
-    this touches only the connections the last wait reported ready, the
-    ones it accepts itself (read at once: a dialer's first bytes are
-    usually already there) and those with unflushed bytes — O(ready),
-    not O(connections). Must only be called from the shard that owns
-    the node. *)
-
-val next_due : t -> owner:int -> float option
-(** Clock time (units) of the earliest queued delivery for [owner], if
-    the backend can know it (loopback); [None] on sockets. *)
-
-val poll_driven : t -> bool
-(** True when frames arrive over file descriptors (sockets), so the
-    shard loop should block in {!wait} for readiness; false when
-    [next_due] is authoritative modulo the idle cap (loopback). *)
+    physical and always due. On sockets this touches only the
+    connections the last {!wait} reported ready, the ones it accepts
+    itself (read at once: a dialer's first bytes are usually already
+    there) and those with unflushed bytes — O(ready), not
+    O(connections). On loopback it settles the node's own inbox, with or
+    without a {!shard} handle. Must only be called from the shard that
+    owns the node.
+    @raise Invalid_argument on a sockets node whose shard handle has not
+    waited yet. *)
 
 type shard
-(** One shard's view of a transport: its owner nodes, its readiness set
-    and its wake pipe. *)
+(** One shard's view of a transport: its owner nodes and what it waits
+    on — a readiness set and a wake pipe (sockets), or an arrival index
+    (loopback). *)
 
 val shard : t -> owners:int list -> shard
-(** Fix a shard's owners once. On sockets this checks each owner's
-    range, that it is hosted here and that no other handle holds it,
-    and creates the shard's wake pipe; the readiness set itself, and
-    the registration of the owners' fds, wait for the handle's first
-    {!wait}, so they run on the waiting shard's domain.
-    @raise Invalid_argument on an out-of-range owner, or (sockets) one
-    not hosted here or already in another handle. *)
+(** Fix a shard's owners once, checking each owner's range and that no
+    other handle holds it. On sockets this also checks that the owner
+    is hosted here and creates the shard's wake pipe; the readiness set
+    itself, and the registration of the owners' fds, wait for the
+    handle's first {!wait}, so they run on the waiting shard's domain.
+    On loopback it indexes the frames already queued for the owners;
+    later sends to them post to the handle as they happen, so create
+    handles before other domains start sending.
+    @raise Invalid_argument on an out-of-range owner, one already in
+    another handle, or (sockets) one not hosted here. *)
 
 val wait :
   shard -> ?on_ready:(int -> unit) -> timeout_s:float -> unit -> unit
@@ -183,12 +181,21 @@ val wait :
     An idle cluster burns no CPU. Pending reconnect deadlines bound the
     sleep and activate their owner when due. A signal can end the wait
     early, like a spurious wake-up. Only the shard's own domain may call
-    this. On loopback it simply sleeps. *)
+    this.
+
+    On loopback a wait reports, through [on_ready], exactly the owners
+    with a delivery due by now (an owner with several due frames may be
+    reported several times). If none is due and [timeout_s] is
+    positive it sleeps until the earliest of [timeout_s], the shard's
+    earliest queued delivery and half a clock unit, then reports again.
+    The half-unit cap exists because nothing can cut a loopback sleep
+    short: it bounds how late a frame another domain queues mid-sleep
+    is noticed. Its cost is O(frames arrived + owners due). *)
 
 val wake : shard -> unit
 (** Interrupt the shard's current or next {!wait}. Safe from any
-    domain; one counted [write(2)] on sockets, a no-op on loopback
-    (whose waits are short capped sleeps). *)
+    domain; one counted [write(2)] on sockets. A no-op on loopback,
+    whose sleeps are capped at half a unit instead. *)
 
 val count_decode_error : t -> unit
 (** Record an envelope-level decode failure (bad codec key/version or

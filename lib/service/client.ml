@@ -528,7 +528,7 @@ let run cfg =
   }
 
 let result_json (r : result) =
-  let open Tr_net_rt.Live_export in
+  let open Tr_stats.Json in
   let s = r.slo in
   obj
     [
@@ -549,9 +549,8 @@ let result_json (r : result) =
       ("p99_s", json_float s.Slo.p99);
       ("p999_s", json_float s.Slo.p999);
       ( "phases",
-        "["
-        ^ String.concat ","
-            (List.map
+        arr
+          (List.map
                (fun ((p : phase), (ps : Slo.snapshot)) ->
                  obj
                    [
@@ -573,6 +572,5 @@ let result_json (r : result) =
                      ("p99_s", json_float ps.Slo.p99);
                      ("p999_s", json_float ps.Slo.p999);
                    ])
-               r.phase_slos)
-        ^ "]" );
+             r.phase_slos) );
     ]

@@ -155,12 +155,6 @@ let balanced text =
     text;
   !ok && !depth = 0
 
-let test_export_escape () =
-  Alcotest.(check string) "quotes and backslashes" {|a\"b\\c|}
-    (Tokenring.Export.escape_string {|a"b\c|});
-  Alcotest.(check string) "newline" {|x\ny|}
-    (Tokenring.Export.escape_string "x\ny")
-
 let test_export_outcome_json () =
   let config =
     {
@@ -496,7 +490,6 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "escape" `Quick test_export_escape;
           Alcotest.test_case "outcome json" `Quick test_export_outcome_json;
           Alcotest.test_case "result json" `Quick test_export_result_json;
         ] );

@@ -256,6 +256,16 @@ let test_live_failsafe_search_regeneration () =
     true
     (report.Cluster.grants > 20)
 
+let expect_invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
+
+(* One ring-token envelope from node 0. *)
+let ring_frame stamp =
+  Tr_wire.Codec.encode_envelope Codecs.ring ~src:0 ~channel:Network.Reliable
+    (Tr_proto.Ring.Token { stamp })
+
 (* ---------------- sockets backend ---------------- *)
 
 let with_temp_dir f =
@@ -295,6 +305,35 @@ let test_unix_sockets_cluster () =
       Alcotest.(check bool) "grants reached" true (report.Cluster.grants >= 60);
       Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors;
       Alcotest.(check string) "backend" "unix" report.Cluster.backend)
+
+(* An idle cluster must still stop on time: the tree protocol under no
+   load arms no timers and sends nothing once settled, so only the
+   [Duration] deadline itself can bound the lead shard's sleep. *)
+let test_idle_duration_stop () =
+  let config =
+    {
+      (Cluster.default_config ~n:4 ~seed:1) with
+      unit_s = 1e-3;
+      shards = 1;
+      load = Cluster.No_load;
+      stop = Cluster.Duration 50.0;
+      max_wall_s = 30.0;
+    }
+  in
+  let check name report =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stopped at %.1f units" name
+         report.Cluster.duration_units)
+      true
+      (report.Cluster.duration_units < 75.0)
+  in
+  with_temp_dir (fun dir ->
+      let addrs = Transport.uds_addrs ~dir ~n:4 in
+      check "uds"
+        (Cluster.run_packed
+           ~backend:(Cluster.Sockets { owned = List.init 4 Fun.id; addrs })
+           config (Codecs.find_exn "tree")));
+  check "loopback" (Cluster.run_packed config (Codecs.find_exn "tree"))
 
 (* ---------------- clock ---------------- *)
 
@@ -550,13 +589,8 @@ let test_stats_snapshot_coherent () =
       Fun.protect
         ~finally:(fun () -> Transport.close t)
         (fun () ->
-          let frame stamp =
-            Tr_wire.Codec.encode_envelope Codecs.ring ~src:0
-              ~channel:Network.Reliable
-              (Tr_proto.Ring.Token { stamp })
-          in
           let got = ref 0 in
-          Transport.send t ~src:0 ~dst:1 ~delay:0.0 (frame 1);
+          Transport.send t ~src:0 ~dst:1 ~delay:0.0 (ring_frame 1);
           let deadline = Unix.gettimeofday () +. 5.0 in
           while !got < 1 && Unix.gettimeofday () < deadline do
             Transport.wait shard ~timeout_s:0.05 ();
@@ -629,14 +663,19 @@ let test_stats_snapshot_coherent () =
 (* ---------------- shard handles ---------------- *)
 
 (* A handle checks its owners once, at creation: an out-of-range owner
-   is refused there (on both backends), as is a node another handle
-   already holds, and a refused handle claims nothing. *)
+   and a node another handle already holds are refused there (on both
+   backends), and a refused handle claims nothing. *)
 let test_shard_rejects_bad_owners () =
   let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
   let lb = Transport.loopback ~clock ~n:2 in
   Alcotest.check_raises "loopback: out-of-range owner"
     (Invalid_argument "Transport: shard owner node 2 out of range")
     (fun () -> ignore (Transport.shard lb ~owners:[ 0; 2 ]));
+  ignore (Transport.shard lb ~owners:[ 1 ]);
+  Alcotest.check_raises "loopback: owner already in a shard"
+    (Invalid_argument "Transport.shard: node 1 already belongs to a shard")
+    (fun () -> ignore (Transport.shard lb ~owners:[ 0; 1 ]));
+  ignore (Transport.shard lb ~owners:[ 0 ]);
   with_temp_dir (fun dir ->
       let n = 3 in
       let addrs = Transport.uds_addrs ~dir ~n in
@@ -730,6 +769,69 @@ let test_cross_domain_wake () =
         (Printf.sprintf "%s: woken in %.3f s" name dt)
         true (dt < 0.1))
 
+(* Loopback handles report deliveries, not owners: one frame to node 5
+   among 1024 owners surfaces exactly [5]. *)
+let reported shard ~timeout_s =
+  let got = ref [] in
+  Transport.wait shard ~on_ready:(fun i -> got := i :: !got) ~timeout_s ();
+  List.rev !got
+
+let test_loopback_wait_reports_due_owner () =
+  let n = 1024 in
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+  let t = Transport.loopback ~clock ~n in
+  let shard = Transport.shard t ~owners:(List.init n Fun.id) in
+  Transport.send t ~src:0 ~dst:5 ~delay:0.0 (ring_frame 1);
+  Alcotest.(check (list int)) "only node 5 reported" [ 5 ]
+    (reported shard ~timeout_s:0.0);
+  Alcotest.(check (list int)) "reported once" [] (reported shard ~timeout_s:0.0)
+
+(* A delayed frame stays unreported until its due time, then is
+   reported by the wait that reaches it. *)
+let test_loopback_wait_honours_delay () =
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-2 () in
+  let t = Transport.loopback ~clock ~n:4 in
+  let shard = Transport.shard t ~owners:[ 0; 1; 2; 3 ] in
+  Transport.send t ~src:0 ~dst:2 ~delay:2.0 (ring_frame 1);
+  Alcotest.(check (list int)) "not due yet" [] (reported shard ~timeout_s:0.0);
+  let got = ref [] in
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while !got = [] && Unix.gettimeofday () < deadline do
+    got := reported shard ~timeout_s:0.1
+  done;
+  Alcotest.(check (list int)) "reported once due" [ 2 ] !got;
+  Alcotest.(check bool) "not before its due time" true
+    (Tr_net_rt.Clock.now clock >= 2.0);
+  let frames = ref 0 in
+  Transport.poll t ~owner:2 (fun _ -> incr frames);
+  Alcotest.(check int) "and delivered by poll" 1 !frames
+
+(* Nothing queued: the wait sleeps at most its timeout. *)
+let test_loopback_idle_wait_bounded () =
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+  let t = Transport.loopback ~clock ~n:2 in
+  let shard = Transport.shard t ~owners:[ 0; 1 ] in
+  let dt = timed_wait shard ~timeout_s:0.02 in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle wait returned in %.4f s" dt)
+    true (dt < 0.02 +. 0.01)
+
+(* A sockets node can only be polled once its shard handle has waited:
+   the wait adopts it into the handle's readiness set. *)
+let test_sockets_poll_needs_adoption () =
+  with_temp_dir (fun dir ->
+      let addrs = Transport.uds_addrs ~dir ~n:2 in
+      let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+      let t = Transport.sockets ~clock ~n:2 ~owned:[ 0; 1 ] ~addrs () in
+      Fun.protect
+        ~finally:(fun () -> Transport.close t)
+        (fun () ->
+          let shard = Transport.shard t ~owners:[ 0; 1 ] in
+          expect_invalid "poll before the first wait" (fun () ->
+              Transport.poll t ~owner:0 (fun _ -> ()));
+          Transport.wait shard ~timeout_s:0.0 ();
+          Transport.poll t ~owner:0 (fun _ -> ())))
+
 (* [syscr + syscw] from /proc/self/io: every read- and write-type
    syscall the process made, counted by the kernel. [None] off Linux. *)
 let kernel_rw () =
@@ -812,11 +914,6 @@ let test_adversarial_chunking () =
                 ~finally:(fun () -> try Unix.close s with _ -> ())
                 (fun () ->
                   Unix.connect s addrs.(1);
-                  let frame stamp =
-                    Tr_wire.Codec.encode_envelope Codecs.ring ~src:0
-                      ~channel:Network.Reliable
-                      (Tr_proto.Ring.Token { stamp })
-                  in
                   let got = ref [] in
                   let on_frame view =
                     match Tr_wire.Codec.decode_view Codecs.ring view with
@@ -852,7 +949,7 @@ let test_adversarial_chunking () =
                         end)
                       data
                   in
-                  let f1 = frame 11 in
+                  let f1 = ring_frame 11 in
                   (* All but the last byte: nothing may be delivered. *)
                   send_chunked
                     (String.sub f1 0 (String.length f1 - 1))
@@ -863,7 +960,7 @@ let test_adversarial_chunking () =
                   ignore
                     (Unix.write_substring s f1 (String.length f1 - 1) 1);
                   pump_until 1;
-                  send_chunked (frame 12) ~chunk:3;
+                  send_chunked (ring_frame 12) ~chunk:3;
                   pump_until 2;
                   Alcotest.(check (list (pair int int)))
                     (name ^ ": both frames exactly once")
@@ -987,11 +1084,6 @@ let test_golden_live_binsearch () =
 
 (* ---------------- delay-model validation ---------------- *)
 
-let expect_invalid name f =
-  match f () with
-  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  | exception Invalid_argument _ -> ()
-
 let test_network_validation () =
   expect_invalid "uniform lo>hi" (fun () ->
       Network.create ~reliable_delay:(Network.Uniform (3.0, 1.0)) ());
@@ -1064,8 +1156,12 @@ let () =
             test_live_failsafe_search_regeneration;
         ] );
       ( "sockets",
-        [ Alcotest.test_case "unix-domain cluster" `Quick
-            test_unix_sockets_cluster ] );
+        [
+          Alcotest.test_case "unix-domain cluster" `Quick
+            test_unix_sockets_cluster;
+          Alcotest.test_case "idle cluster stops at its duration" `Quick
+            test_idle_duration_stop;
+        ] );
       ( "clock",
         [
           Alcotest.test_case "now non-decreasing across domains" `Quick
@@ -1098,6 +1194,14 @@ let () =
             test_cross_domain_wake;
           Alcotest.test_case "every read/write syscall counted" `Quick
             test_every_syscall_counted;
+          Alcotest.test_case "loopback wait reports the due owner" `Quick
+            test_loopback_wait_reports_due_owner;
+          Alcotest.test_case "loopback wait honours delay" `Quick
+            test_loopback_wait_honours_delay;
+          Alcotest.test_case "loopback idle wait bounded" `Quick
+            test_loopback_idle_wait_bounded;
+          Alcotest.test_case "sockets poll needs adoption" `Quick
+            test_sockets_poll_needs_adoption;
         ] );
       ( "golden",
         [

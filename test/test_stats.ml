@@ -319,6 +319,21 @@ let test_plot_single_point () =
   let out = Tr_stats.Plot.render [ s ] in
   Alcotest.(check bool) "single point ok" true (String.contains out '*')
 
+let test_json_escape () =
+  Alcotest.(check string) "quotes and backslashes" {|a\"b\\c|}
+    (Tr_stats.Json.escape_string {|a"b\c|});
+  Alcotest.(check string) "newline" {|x\ny|}
+    (Tr_stats.Json.escape_string "x\ny")
+
+(* JSON has no literal for NaN or the infinities; all three render as
+   null rather than as tokens a parser would reject. *)
+let test_json_float_non_finite () =
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check string) name "null" (Tr_stats.Json.json_float f))
+    [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity) ];
+  Alcotest.(check string) "finite" "0.25" (Tr_stats.Json.json_float 0.25)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -375,5 +390,11 @@ let () =
             test_plot_contains_glyphs_and_legend;
           Alcotest.test_case "log scale" `Quick test_plot_log_scale_skips_nonpositive;
           Alcotest.test_case "single point" `Quick test_plot_single_point;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escape" `Quick test_json_escape;
+          Alcotest.test_case "non-finite floats are null" `Quick
+            test_json_float_non_finite;
         ] );
     ]
