@@ -9,8 +9,8 @@ let create ?(unit_s = 1e-3) () =
   { epoch_ns = monotonic_ns (); unit_s }
 
 let unit_s t = t.unit_s
-let elapsed_wall t = float_of_int (monotonic_ns () - t.epoch_ns) *. 1e-9
-let now t = elapsed_wall t /. t.unit_s
+let[@inline] elapsed_wall t = float_of_int (monotonic_ns () - t.epoch_ns) *. 1e-9
+let[@inline] now t = elapsed_wall t /. t.unit_s
 
 let bound_oversleep t =
   set_timer_slack_ns

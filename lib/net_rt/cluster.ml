@@ -89,12 +89,17 @@ type backend_spec =
   | Sockets of { owned : int list; addrs : Unix.sockaddr array }
 
 (* Per-node live state. [st] is the protocol's pure state; everything
-   else is runtime plumbing owned by exactly one shard. *)
+   else is runtime plumbing owned by exactly one shard. [on_frame] hands
+   one received frame to the protocol; it is built once per node, so a
+   step allocates no callback. *)
 type ('state, 'msg) rt = {
   id : int;
   mutable st : 'state;
   ctx : 'msg Node_intf.ctx;
+  on_frame : Frame.view -> unit;
 }
+
+let discard (_ : Frame.view) = ()
 
 let validate (config : config) =
   if config.n < 2 then invalid_arg "Cluster.run: n < 2";
@@ -155,13 +160,18 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let act_inbox : int Mailbox.t array = Array.init shards (fun _ -> Mailbox.create ()) in
   let timer_index : int Pqueue.t array = Array.init shards (fun _ -> Pqueue.create ()) in
   let metrics = Metrics.create ~n in
+  (* The metrics lock guards one [Metrics] call at a time; none of those
+     calls can raise, so lock and unlock pair without a handler. *)
   let mu = Mutex.create () in
-  let with_mu f =
+  let metrics_pending node =
     Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+    let p = Metrics.pending metrics ~node in
+    Mutex.unlock mu;
+    p
   in
   let stop_flag = Atomic.make false in
   let alive = Array.init n (fun _ -> Atomic.make true) in
+  let any_killed = Atomic.make false in
   let failure_box : exn option Atomic.t = Atomic.make None in
   let wake_all () = Array.iter Transport.wake handles in
   let signal_stop () =
@@ -177,11 +187,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       Transport.wake handles.(shard_of.(i))
     end
   in
-  (* Same-shard activation (a serve re-arming its own node): the shard
-     drains its mailbox before every sleep, so no pipe write is needed. *)
-  let note_local i =
-    if shard_of.(i) >= 0 then Mailbox.push act_inbox.(shard_of.(i)) i
-  in
   (* Timer plumbing, index-addressed so ctx closures need no [rt]. *)
   let timers = Array.init n (fun _ -> Pqueue.create ()) in
   let epochs = Array.init n (fun _ -> Hashtbl.create 8) in
@@ -195,6 +200,18 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     Atomic.incr req_inflight.(i);
     Mailbox.push req_inbox.(i) at
   in
+  (* Closed-loop re-arms. A serve runs on its node's own shard, so the
+     re-arm needs no mailbox: its arrival time waits in the node's
+     [rearms] queue and the node in its shard's [rearmed] queue, which
+     the shard turns into activations on its next pass (the simulator
+     likewise queues the re-request as an event, so the protocol
+     handler finishes before the next on_request fires). *)
+  let rearms =
+    match config.load with
+    | Closed_loop _ -> Array.init n (fun _ -> Fifo.Float.create ())
+    | _ -> [||]
+  in
+  let rearmed = Array.init shards (fun _ -> Fifo.Int.create ()) in
   (* Chaos holdback: reordered frames wait here (per source node, owned
      by its shard) until their release time, then ship with zero delay —
      one mechanism for both backends, since the sockets transport has no
@@ -217,7 +234,10 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     {
       kill =
         (fun i ->
-          if i >= 0 && i < n then Atomic.set alive.(i) false);
+          if i >= 0 && i < n then begin
+            Atomic.set any_killed true;
+            Atomic.set alive.(i) false
+          end);
       request_stop = signal_stop;
       live_now = (fun () -> Clock.now clock);
       inject =
@@ -233,9 +253,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       pending_at =
         (fun i ->
           if i < 0 || i >= n then 0
-          else
-            with_mu (fun () -> Metrics.pending metrics ~node:i)
-            + Atomic.get req_inflight.(i));
+          else metrics_pending i + Atomic.get req_inflight.(i));
     }
   in
   let make_ctx node : m Node_intf.ctx =
@@ -246,7 +264,10 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     let send ?(channel = Network.Reliable) ~dst msg =
       if dst < 0 || dst >= n then
         invalid_arg "Cluster: send destination out of range";
-      with_mu (fun () -> Metrics.on_message metrics channel (P.classify msg));
+      let cls = P.classify msg in
+      Mutex.lock mu;
+      Metrics.on_message metrics channel cls;
+      Mutex.unlock mu;
       let delay =
         match channel with
         | Network.Reliable -> config.hop_delay
@@ -314,23 +335,21 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     in
     let serve () =
       let t = Clock.now clock in
-      let grants =
-        with_mu (fun () ->
-            (match Metrics.oldest_arrival metrics ~node with
-            | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Cluster: node %d served with no pending request" node)
-            | Some _ -> Metrics.on_serve metrics ~time:t ~node);
-            Metrics.serves metrics)
-      in
+      Mutex.lock mu;
+      if Metrics.pending metrics ~node = 0 then begin
+        Mutex.unlock mu;
+        invalid_arg
+          (Printf.sprintf "Cluster: node %d served with no pending request"
+             node)
+      end;
+      Metrics.on_serve metrics ~time:t ~node;
+      let grants = Metrics.serves metrics in
+      Mutex.unlock mu;
       (match config.load with
       | Closed_loop _ ->
-          (* Re-arm through the mailbox so the protocol handler finishes
-             before the next on_request fires (the simulator queues the
-             re-request as an event for the same reason). *)
-          push_request node (Clock.now clock);
-          note_local node
+          Atomic.incr req_inflight.(node);
+          Fifo.Float.push rearms.(node) t;
+          Fifo.Int.push rearmed.(shard_of.(node)) node
       | _ -> ());
       match config.stop with
       | Grants k -> if grants >= k then signal_stop ()
@@ -345,21 +364,43 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       set_timer;
       cancel_timers;
       serve;
-      pending = (fun () -> with_mu (fun () -> Metrics.pending metrics ~node));
+      pending = (fun () -> metrics_pending node);
       possession =
-        (fun () -> with_mu (fun () -> Metrics.on_token_possession metrics ~node));
+        (fun () ->
+          Mutex.lock mu;
+          Metrics.on_token_possession metrics ~node;
+          Mutex.unlock mu);
       search_forward =
-        (fun () -> with_mu (fun () -> Metrics.on_search_forward metrics));
+        (fun () ->
+          Mutex.lock mu;
+          Metrics.on_search_forward metrics;
+          Mutex.unlock mu);
       note = (fun _ -> ());
     }
   in
+  let on_frame rt view =
+    match Codec.decode_view codec view with
+    | Error _ -> Transport.count_decode_error transport
+    | Ok { Codec.src; channel = _; msg } ->
+        if Atomic.get alive.(rt.id) then begin
+          rt.st <- P.on_message rt.ctx rt.st ~src msg;
+          (* The tap observes a *processed* delivery, so a tap that kills
+             this node models a crash just after handling the message —
+             e.g. while holding a token it has already acknowledged. *)
+          match tap with Some f -> f control ~self:rt.id msg | None -> ()
+        end
+  in
   (* Initialise every hosted node before any shard runs: init sends (the
      initial token) sit queued in the transport until the loops start. *)
+  let rt_of = Array.make n None in
   let rts =
     List.map
       (fun i ->
         let ctx = make_ctx i in
-        { id = i; st = P.init ctx; ctx })
+        let st = P.init ctx in
+        let rec rt = { id = i; st; ctx; on_frame = (fun v -> on_frame rt v) } in
+        rt_of.(i) <- Some rt;
+        rt)
       owned
   in
   (* Closed-loop priming: [depth] outstanding requests per node at t=0. *)
@@ -374,24 +415,29 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         owned
   | _ -> ());
   (* Open-loop generator state: Poisson arrivals over the live hosted
-     nodes, pumped by the lead shard. *)
+     nodes, pumped by the lead shard. Until a node is killed every
+     hosted node is live, so the pick is one draw over [owned_arr]: the
+     same draw the filtered list would make, without building it. *)
   let open_loop =
     match config.load with
     | Open_loop { mean_interarrival } ->
         let rng = Rng.create (config.seed lxor 0x5DEECE66D) in
         let next = ref (Rng.exponential rng ~mean:mean_interarrival) in
+        let arrive pick =
+          push_request pick !next;
+          wake_node pick
+        in
         let pump now_u =
           while !next <= now_u && not (Atomic.get stop_flag) do
-            let live =
-              Array.to_list owned_arr
-              |> List.filter (fun i -> Atomic.get alive.(i))
-            in
-            (match live with
-            | [] -> signal_stop ()
-            | _ ->
-                let pick = List.nth live (Rng.int rng (List.length live)) in
-                push_request pick !next;
-                wake_node pick);
+            (if not (Atomic.get any_killed) then
+               arrive owned_arr.(Rng.int rng n_owned)
+             else
+               match
+                 Array.to_list owned_arr
+                 |> List.filter (fun i -> Atomic.get alive.(i))
+               with
+               | [] -> signal_stop ()
+               | live -> arrive (List.nth live (Rng.int rng (List.length live))));
             next := !next +. Rng.exponential rng ~mean:mean_interarrival
           done
         in
@@ -409,6 +455,21 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       done
     end
   in
+  let arrive rt at =
+    Mutex.lock mu;
+    Metrics.on_request metrics ~time:at ~node:rt.id;
+    Mutex.unlock mu;
+    (* Decrement after the metric records it: [pending_at] may briefly
+       double-count, never read 0 for a queued request. *)
+    Atomic.decr req_inflight.(rt.id);
+    rt.st <- P.on_request rt.ctx rt.st
+  in
+  let rec arrive_all rt = function
+    | [] -> ()
+    | at :: rest ->
+        arrive rt at;
+        arrive_all rt rest
+  in
   let step_node rt now_u =
     let i = rt.id in
     flush_chaos_out i now_u;
@@ -416,7 +477,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       (* Churned out: frames addressed to it are destroyed, timers and
          queued arrivals are parked for rejoin. Re-index the node at the
          window's close so the shard re-activates it then. *)
-      Transport.poll transport ~owner:i (fun _ -> ());
+      Transport.poll transport ~owner:i discard;
       match config.chaos with
       | Some inj ->
           let resume =
@@ -428,29 +489,16 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     else
     let arrivals = Mailbox.drain req_inbox.(i) in
     if Atomic.get alive.(i) then begin
-      List.iter
-        (fun at ->
-          with_mu (fun () -> Metrics.on_request metrics ~time:at ~node:i);
-          (* Decrement after the metric records it: [pending_at] may
-             briefly double-count, never read 0 for a queued request. *)
-          Atomic.decr req_inflight.(i);
-          rt.st <- P.on_request rt.ctx rt.st)
-        arrivals;
+      arrive_all rt arrivals;
+      (* Only the re-arms queued before this step: a request handler may
+         serve, and its re-arm belongs to the next pass. *)
+      if Array.length rearms > 0 then begin
+        let q = rearms.(i) in
+        for _ = 1 to Fifo.Float.length q do
+          arrive rt (Fifo.Float.pop q)
+        done
+      end;
       let tq = timers.(i) in
-      let deliver ?upto () =
-        Transport.poll transport ?upto ~owner:i (fun view ->
-            match Codec.decode_view codec view with
-            | Error _ -> Transport.count_decode_error transport
-            | Ok { Codec.src; channel = _; msg } ->
-                if Atomic.get alive.(i) then begin
-                  rt.st <- P.on_message rt.ctx rt.st ~src msg;
-                  (* The tap observes a *processed* delivery, so a tap
-                     that kills this node models a crash just after
-                     handling the message — e.g. while holding a token
-                     it has already acknowledged. *)
-                  match tap with Some f -> f control ~self:i msg | None -> ()
-                end)
-      in
       (* Interleave timers and frame deliveries in due-time order, as
          the discrete-event engine would: when the shard runs late both
          may be due at once, and firing an ack timeout before the ack
@@ -460,7 +508,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         !continue && (not (Pqueue.is_empty tq)) && Pqueue.top_time_exn tq <= now_u
       do
         let tt = Pqueue.top_time_exn tq in
-        deliver ~upto:tt ();
+        Transport.poll transport ~upto:tt ~owner:i rt.on_frame;
         (* Deliveries may have armed an earlier timer or cancelled this
            one; only fire if this slot is still frontmost. *)
         if (not (Pqueue.is_empty tq)) && Pqueue.top_time_exn tq <= tt then begin
@@ -472,18 +520,19 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
           else continue := false
         end
       done;
-      if Atomic.get alive.(i) then deliver ()
+      if Atomic.get alive.(i) then Transport.poll transport ~owner:i rt.on_frame
       else begin
         Pqueue.clear tq;
-        Transport.poll transport ~owner:i (fun _ -> ())
+        Transport.poll transport ~owner:i discard
       end
     end
     else begin
       (* Dead node: everything addressed to it evaporates. The drained
          arrivals keep their [req_inflight] counts — a dead node can
          never serve, so [pending_at] must not read 0 for them. *)
+      if Array.length rearms > 0 then Fifo.Float.clear rearms.(i);
       Pqueue.clear timers.(i);
-      Transport.poll transport ~owner:i (fun _ -> ())
+      Transport.poll transport ~owner:i discard
     end
   in
   let shard_rts =
@@ -496,34 +545,36 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   (* The shard loop, active-set form: the shard steps only nodes
      something happened to — frames reported by [Transport.wait] through
      [on_ready] (a ready descriptor, or a loopback delivery come due), an
-     activation queued by another shard, or a due timer from the index
-     heap. Idle nodes cost nothing per iteration, which is what lets one
-     shard carry 10k+ of them. *)
+     activation queued by another shard or by a closed-loop re-arm, or a
+     due timer from the index heap. Idle nodes cost nothing per
+     iteration, which is what lets one shard carry 10k+ of them. *)
   let shard_loop ~lead ~shard shard_rts () =
     pin shard;
     let handle = handles.(shard) in
     let inbox = act_inbox.(shard) in
+    let local = rearmed.(shard) in
     let tindex = timer_index.(shard) in
-    let rt_of = Hashtbl.create (Stdlib.max 16 (List.length shard_rts)) in
-    List.iter (fun rt -> Hashtbl.replace rt_of rt.id rt) shard_rts;
     let on_q = Array.make n false in
-    let q = Queue.create () in
+    let q = Fifo.Int.create () in
     let activate i =
       if i >= 0 && i < n && not on_q.(i) then begin
         on_q.(i) <- true;
-        Queue.add i q
+        Fifo.Int.push q i
       end
     in
+    (* Built once: passing [?on_ready] wraps nothing per wait. *)
+    let on_ready = Some activate in
     (* First pass sweeps everything: init sends are still unflushed. *)
     List.iter (fun rt -> activate rt.id) shard_rts;
     try
       (* Adopt the shard's nodes before stepping any: a sockets node
          cannot be polled before its shard's first wait. *)
-      Transport.wait handle ~on_ready:activate ~timeout_s:0.0 ();
+      Transport.wait handle ?on_ready ~timeout_s:0.0 ();
       while not (Atomic.get stop_flag) do
         if Clock.elapsed_wall clock > config.max_wall_s then signal_stop ()
         else begin
-          let now_u = Clock.now clock in
+          (* Boxed once here rather than at each step that reads it. *)
+          let now_u = Sys.opaque_identity (Clock.now clock) in
           if lead then begin
             (match config.stop with
             | Duration d -> if now_u >= d then signal_stop ()
@@ -531,26 +582,24 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
             match open_loop with Some (pump, _) -> pump now_u | None -> ()
           end;
           List.iter activate (Mailbox.drain inbox);
-          while
-            match Pqueue.peek_time tindex with
-            | Some t -> t <= now_u
-            | None -> false
-          do
+          while not (Fifo.Int.is_empty local) do
+            activate (Fifo.Int.pop local)
+          done;
+          while (not (Pqueue.is_empty tindex)) && Pqueue.top_time_exn tindex <= now_u do
             activate (Pqueue.pop_exn tindex)
           done;
-          while not (Queue.is_empty q) do
-            let i = Queue.pop q in
+          while not (Fifo.Int.is_empty q) do
+            let i = Fifo.Int.pop q in
             on_q.(i) <- false;
-            match Hashtbl.find_opt rt_of i with
-            | Some rt -> step_node rt now_u
-            | None -> ()
+            match rt_of.(i) with
+            | Some rt when shard_of.(i) = shard -> step_node rt now_u
+            | _ -> ()
           done;
           if not (Atomic.get stop_flag) then begin
             let now2 = Clock.now clock in
             let next =
-              match Pqueue.peek_time tindex with
-              | Some t -> t
-              | None -> infinity
+              if Pqueue.is_empty tindex then infinity
+              else Pqueue.top_time_exn tindex
             in
             (* The lead also wakes for the next open-loop arrival and for
                the [Duration] stop, which an idle cluster would otherwise
@@ -559,22 +608,23 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
               if lead then
                 let next =
                   match open_loop with
-                  | Some (_, next_at) -> Float.min next !next_at
-                  | None -> next
+                  | Some (_, next_at) when !next_at < next -> !next_at
+                  | _ -> next
                 in
                 match config.stop with
-                | Duration d -> Float.min next d
-                | Grants _ -> next
+                | Duration d when d < next -> d
+                | _ -> next
               else next
             in
             let timeout_s =
-              if not (Mailbox.is_empty inbox) then 0.0
+              if not (Mailbox.is_empty inbox && Fifo.Int.is_empty local) then 0.0
               else
-                Float.min
-                  (Float.max 0.0 ((next -. now2) *. config.unit_s))
-                  (config.max_wall_s -. Clock.elapsed_wall clock)
+                let until_next = (next -. now2) *. config.unit_s in
+                let until_next = if until_next > 0.0 then until_next else 0.0 in
+                let until_cap = config.max_wall_s -. Clock.elapsed_wall clock in
+                if until_next < until_cap then until_next else until_cap
             in
-            Transport.wait handle ~on_ready:activate ~timeout_s ()
+            Transport.wait handle ?on_ready ~timeout_s ()
           end
         end
       done

@@ -12,8 +12,9 @@
     shard runs one event loop, the same on both backends, that steps
     only the nodes something happened to: the transport's {!Transport.wait}
     reports nodes with frames to read (a ready descriptor, or a loopback
-    delivery come due), other shards queue activations (injected load,
-    closed-loop re-arms), and a per-shard index heap surfaces due timers.
+    delivery come due), other shards queue activations (injected load),
+    a serve queues its own node's closed-loop re-arm for the shard's next
+    pass, and a per-shard index heap surfaces due timers.
     A step fires due timers and delivers frames in due-time order,
     decodes them through the protocol's codec, and processes injected
     load; an idle node costs nothing. A shard sleeps until its next

@@ -1,7 +1,7 @@
 /* Readiness backend stubs: level-triggered epoll on Linux, poll(2) as
    the portable fallback, plus the small pieces of process plumbing the
    live runtime needs (RLIMIT_NOFILE raising, CPU pinning, the monotonic
-   clock).
+   clock, non-blocking read and write).
 
    All fds cross the boundary as plain ints — Unix.file_descr is an int
    on every Unix OCaml port. Blocking waits release the OCaml runtime
@@ -279,4 +279,33 @@ CAMLprim value tr_rd_set_timer_slack(value ns)
   prctl(PR_SET_TIMERSLACK, (unsigned long)Long_val(ns), 0UL, 0UL, 0UL);
 #endif
   return Val_unit;
+}
+
+/* read(2) / write(2) on an O_NONBLOCK descriptor, straight between the
+   kernel and an OCaml bytes value. Declared [@@noalloc]: they allocate
+   nothing, raise nothing and keep the runtime lock. Keeping the lock is
+   what makes passing the bytes' address sound (no GC can move it
+   meanwhile), and it costs other domains nothing, because a
+   non-blocking call never sleeps. The caller checks the bounds. Returns
+   the byte count, or -errno. */
+CAMLprim value tr_io_read(value fd, value buf, value ofs, value len)
+{
+  ssize_t r = read(Int_val(fd), &Byte(buf, Long_val(ofs)), Long_val(len));
+  return Val_long(r >= 0 ? (long)r : -(long)errno);
+}
+
+CAMLprim value tr_io_write(value fd, value buf, value ofs, value len)
+{
+  ssize_t r = write(Int_val(fd), &Byte(buf, Long_val(ofs)), Long_val(len));
+  return Val_long(r >= 0 ? (long)r : -(long)errno);
+}
+
+/* Whether errno [err] (positive) leaves a non-blocking stream usable:
+   nothing to read or no room to write yet, an interrupted call, or a
+   connect still completing. */
+CAMLprim value tr_io_transient(value err)
+{
+  int e = Int_val(err);
+  return Val_bool(e == EAGAIN || e == EWOULDBLOCK || e == EINTR
+                  || e == ENOTCONN || e == EINPROGRESS || e == EALREADY);
 }

@@ -110,19 +110,16 @@ let max_wait_s = 0.25
 (* Pull every complete payload view out of [dec]. Views borrow the
    decoder's buffer; that is safe here because nothing feeds [dec]
    until the callback returns. *)
-let drain_decoder stats dec f =
-  let rec go () =
-    match Frame.Decoder.next_view dec with
-    | Frame.Decoder.View v ->
-        Atomic.incr stats.frames_received;
-        f v;
-        go ()
-    | Frame.Decoder.Skip_view _ ->
-        Atomic.incr stats.resync_skips;
-        go ()
-    | Frame.Decoder.Await_view -> ()
-  in
-  go ()
+let rec drain_decoder stats dec f =
+  match Frame.Decoder.next_view dec with
+  | Frame.Decoder.View v ->
+      Atomic.incr stats.frames_received;
+      f v;
+      drain_decoder stats dec f
+  | Frame.Decoder.Skip_view _ ->
+      Atomic.incr stats.resync_skips;
+      drain_decoder stats dec f
+  | Frame.Decoder.Await_view -> ()
 
 let check_node ~what ~n i =
   if i < 0 || i >= n then
@@ -302,7 +299,7 @@ module Sockets = struct
      framing) and counted in [frames_dropped]. *)
   let high_water = 4 * 1024 * 1024
 
-  (* [Unix.write] cannot pass MSG_NOSIGNAL, so a write to a peer that
+  (* [write(2)] cannot pass MSG_NOSIGNAL, so a write to a peer that
      closed its end raises SIGPIPE and the default handler kills the
      whole process before [tear_down] can run. Ignore it once,
      process-wide, so the failure surfaces as EPIPE instead. *)
@@ -317,8 +314,8 @@ module Sockets = struct
   let set_nodelay fd =
     try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
-  (* Unix.file_descr is an int on every Unix OCaml port; the fd->peer
-     index is keyed by it. *)
+  (* Unix.file_descr is an int on every Unix OCaml port; it is the
+     position of an fd's entry in the fd->peer index. *)
   external fd_int : Unix.file_descr -> int = "%identity"
 
   type conn_in = {
@@ -333,12 +330,13 @@ module Sockets = struct
      head frame whole — resuming mid-frame on a fresh connection would
      open the stream with garbage and force a resync at the receiver. *)
   type conn_out = {
+    dst : int;
     addr : Unix.sockaddr;
     mutable fd : Unix.file_descr option;
     mutable out : Bytes.t;  (** Unwritten bytes live in [out_pos..out_len). *)
     mutable out_pos : int;
     mutable out_len : int;
-    bounds : int Queue.t;  (** Byte length of each queued frame, in order. *)
+    bounds : Tr_sim.Fifo.Int.t;  (** Byte length of each queued frame, in order. *)
     mutable head_off : int;  (** Bytes of the head frame already written. *)
     mutable backoff : float;
     mutable retry_at : float;  (** Wall time before which we won't dial. *)
@@ -352,18 +350,24 @@ module Sockets = struct
      fds then live in that shard's readiness set and [poll] touches only
      what the last wait reported ready — O(ready), not O(connections).
      Only a tracked node can be polled, so every connection it accepts
-     or dials is registered in that set from birth. *)
+     or dials is registered in that set from birth. [ready_ins] and
+     [busy] are stacks over arrays, so queueing work allocates nothing
+     once they have grown to the node's fan-in and fan-out. *)
   type node = {
     id : int;
     listen : Unix.file_descr;
     nodelay : bool;
     mutable ins : conn_in list;
     outs : (int, conn_out) Hashtbl.t;  (** Keyed by destination node id. *)
+    mutable last_out : conn_out option;
+        (** The latest destination, looked up without hashing. *)
     mutable claimed : bool;  (** Belongs to a {!shard} handle. *)
     mutable tracked : shard_set option;
     mutable accept_ready : bool;
-    mutable ready_ins : conn_in list;
-    mutable busy : conn_out list;  (** Conns with unflushed bytes. *)
+    mutable ready_ins : conn_in array;
+    mutable n_ready : int;
+    mutable busy : conn_out array;  (** Conns with unflushed bytes. *)
+    mutable n_busy : int;
   }
 
   (* One per shard handle, built by its first wait: the readiness set
@@ -371,13 +375,15 @@ module Sockets = struct
      turns a ready fd back into work in O(1). *)
   and shard_set = {
     rd : Readiness.t;
-    fdx : (int, entry) Hashtbl.t;
+    mutable fdx : entry array;  (** Indexed by fd; [Free] if unregistered. *)
     sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
     selfwake : Wakeup.t;
         (** The shard's one wake pipe: {!wake} callers on any domain
             write here to interrupt its sleep. *)
+    mutable on_ready : int -> unit;  (** The running wait's callback. *)
+    mutable dead_outs : conn_out list;
   }
 
   (* A shard handle. The wake pipe exists from creation, so a wake sent
@@ -391,6 +397,7 @@ module Sockets = struct
   }
 
   and entry =
+    | Free
     | Listener of node
     | In of node * conn_in
     | Out of node * conn_out
@@ -398,25 +405,56 @@ module Sockets = struct
 
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+  (* Append [x] to the stack [a] holding [len] entries, growing it if
+     full; returns the stack to store back. *)
+  let stack_push a len x =
+    let a =
+      if len < Array.length a then a
+      else begin
+        let bigger = Array.make (Stdlib.max 4 (2 * len)) x in
+        Array.blit a 0 bigger 0 len;
+        bigger
+      end
+    in
+    a.(len) <- x;
+    a
+
+  let mark_busy node co =
+    if not co.in_busy then begin
+      co.in_busy <- true;
+      node.busy <- stack_push node.busy node.n_busy co;
+      node.n_busy <- node.n_busy + 1
+    end
+
   (* Registration keeps the [fds_registered] gauge honest: an fd counts
      once, however often its interest mask changes. Removal must happen
-     before the fd is closed (epoll auto-forgets closed fds, but the
-     poll set would otherwise scan a dead descriptor). *)
+     before the fd is closed: the number is free for reuse from the
+     moment of [close], and the next socket to get it must find its slot
+     empty. *)
   let reg stats set fd entry ~read ~write =
     let key = fd_int fd in
-    if not (Hashtbl.mem set.fdx key) then begin
-      Hashtbl.replace set.fdx key entry;
-      Atomic.incr stats.fds_registered
+    let len = Array.length set.fdx in
+    if key >= len then begin
+      let bigger = Array.make (Stdlib.max (2 * len) (key + 1)) Free in
+      Array.blit set.fdx 0 bigger 0 len;
+      set.fdx <- bigger
     end;
+    (match set.fdx.(key) with
+    | Free ->
+        set.fdx.(key) <- entry;
+        Atomic.incr stats.fds_registered
+    | _ -> ());
     Readiness.set set.rd fd ~read ~write
 
   let unreg stats set fd =
     let key = fd_int fd in
-    if Hashtbl.mem set.fdx key then begin
-      Hashtbl.remove set.fdx key;
-      Atomic.decr stats.fds_registered;
-      Readiness.remove set.rd fd
-    end
+    if key < Array.length set.fdx then
+      match set.fdx.(key) with
+      | Free -> ()
+      | _ ->
+          set.fdx.(key) <- Free;
+          Atomic.decr stats.fds_registered;
+          Readiness.remove set.rd fd
 
   let reset_if_empty co =
     if queued co = 0 then begin
@@ -434,7 +472,7 @@ module Sockets = struct
     if co.head_off > 0 then begin
       (* Drop the half-written head frame whole; its tail must not open
          the next connection mid-frame. *)
-      let head = Queue.pop co.bounds in
+      let head = Tr_sim.Fifo.Int.pop co.bounds in
       co.out_pos <- co.out_pos + (head - co.head_off);
       co.head_off <- 0;
       Atomic.incr stats.frames_dropped;
@@ -467,9 +505,8 @@ module Sockets = struct
         co.fd <- None;
         tear_down stats set co
 
-  (* Append [len] frame bytes to the coalescing buffer. [blit dst dstoff]
-     writes them; the caller has already counted the frame. *)
-  let append co ~len blit =
+  (* Make room for [len] more bytes in the coalescing buffer. *)
+  let reserve co len =
     if co.out_len + len > Bytes.length co.out then begin
       if co.out_pos > 0 then begin
         Bytes.blit co.out co.out_pos co.out 0 (queued co);
@@ -485,27 +522,23 @@ module Sockets = struct
         Bytes.blit co.out 0 bigger 0 co.out_len;
         co.out <- bigger
       end
-    end;
-    blit co.out co.out_len;
-    co.out_len <- co.out_len + len;
-    Queue.add len co.bounds
+    end
 
   (* Account [wrote] flushed bytes against the frame-boundary queue. *)
+  let rec pop_bounds co w =
+    if w > 0 then begin
+      let rem = Tr_sim.Fifo.Int.peek co.bounds - co.head_off in
+      if w >= rem then begin
+        ignore (Tr_sim.Fifo.Int.pop co.bounds);
+        co.head_off <- 0;
+        pop_bounds co (w - rem)
+      end
+      else co.head_off <- co.head_off + w
+    end
+
   let advance co wrote =
     co.out_pos <- co.out_pos + wrote;
-    let rec pop w =
-      if w > 0 then begin
-        let head = Queue.peek co.bounds in
-        let rem = head - co.head_off in
-        if w >= rem then begin
-          ignore (Queue.pop co.bounds);
-          co.head_off <- 0;
-          pop (w - rem)
-        end
-        else co.head_off <- co.head_off + w
-      end
-    in
-    pop wrote;
+    pop_bounds co wrote;
     reset_if_empty co
 
   (* One [write] covering every queued frame; a partial write means the
@@ -519,23 +552,16 @@ module Sockets = struct
             dial stats set node co;
             if co.fd <> None then flush stats set node co
           end
-      | Some fd -> (
-          match Unix.write fd co.out co.out_pos (queued co) with
-          | wrote ->
-              Atomic.incr stats.write_syscalls;
-              co.backoff <- backoff_min;
-              advance co wrote
-          | exception
-              Unix.Unix_error
-                ( (EAGAIN | EWOULDBLOCK | EINTR | ENOTCONN | EINPROGRESS | EALREADY),
-                  _,
-                  _ ) ->
-              (* Still connecting, or the kernel buffer is full; the bytes
-                 stay queued for the next poll. *)
-              Atomic.incr stats.write_syscalls
-          | exception Unix.Unix_error (_, _, _) ->
-              Atomic.incr stats.write_syscalls;
-              tear_down stats set co)
+      | Some fd ->
+          let wrote = Fdio.write fd co.out co.out_pos (queued co) in
+          Atomic.incr stats.write_syscalls;
+          if wrote >= 0 then begin
+            co.backoff <- backoff_min;
+            advance co wrote
+          end
+          (* Still connecting, or the kernel buffer is full: the bytes
+             stay queued for the next poll. *)
+          else if not (Fdio.transient wrote) then tear_down stats set co
 
   let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
@@ -552,6 +578,13 @@ module Sockets = struct
     Unix.set_nonblock fd;
     fd
 
+  let mark_ready node ci =
+    if not ci.ready then begin
+      ci.ready <- true;
+      node.ready_ins <- stack_push node.ready_ins node.n_ready ci;
+      node.n_ready <- node.n_ready + 1
+    end
+
   let accept_all stats set node =
     let rec go () =
       match Unix.accept ~cloexec:true node.listen with
@@ -565,8 +598,7 @@ module Sockets = struct
              writes as soon as it connects, so they usually have: mark
              the connection ready so this same poll reads them. *)
           reg stats set fd (In (node, ci)) ~read:true ~write:false;
-          ci.ready <- true;
-          node.ready_ins <- ci :: node.ready_ins;
+          mark_ready node ci;
           go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     in
@@ -575,25 +607,15 @@ module Sockets = struct
   (* Read everything available on one inbound connection. Returns false
      when the connection is finished (EOF or error) and should drop —
      the caller deregisters before closing. *)
-  let read_conn stats buf (ci : conn_in) f =
-    let rec go () =
-      match Unix.read ci.fd buf 0 (Bytes.length buf) with
-      | 0 ->
-          Atomic.incr stats.read_syscalls;
-          false
-      | k ->
-          Atomic.incr stats.read_syscalls;
-          Frame.Decoder.feed_sub ci.dec buf ~pos:0 ~len:k;
-          drain_decoder stats ci.dec f;
-          if k = Bytes.length buf then go () else true
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          Atomic.incr stats.read_syscalls;
-          true
-      | exception Unix.Unix_error (_, _, _) ->
-          Atomic.incr stats.read_syscalls;
-          false
-    in
-    go ()
+  let rec read_conn stats buf (ci : conn_in) f =
+    let k = Fdio.read ci.fd buf 0 (Bytes.length buf) in
+    Atomic.incr stats.read_syscalls;
+    if k > 0 then begin
+      Frame.Decoder.feed_sub ci.dec buf ~pos:0 ~len:k;
+      drain_decoder stats ci.dec f;
+      if k = Bytes.length buf then read_conn stats buf ci f else true
+    end
+    else k < 0 && Fdio.transient k
 
   let drop_in stats set node (ci : conn_in) =
     unreg stats set ci.fd;
@@ -603,45 +625,80 @@ module Sockets = struct
   (* Touch only what readiness reported (accept_ready, ready_ins) plus
      connections with unflushed bytes (busy). Write interest tracks the
      busy state so an idle cluster registers no write-side events at
-     all. *)
+     all. Nothing below queues more ready or busy work while the stacks
+     are walked. *)
   let poll_tracked stats set node f =
     if node.accept_ready then begin
       node.accept_ready <- false;
       accept_all stats set node
     end;
-    (match node.ready_ins with
-    | [] -> ()
-    | ris ->
-        node.ready_ins <- [];
-        List.iter
-          (fun ci ->
-            ci.ready <- false;
-            if not (read_conn stats set.sbuf ci f) then drop_in stats set node ci)
-          ris);
-    match node.busy with
-    | [] -> ()
-    | busy ->
-        node.busy <- [];
-        List.iter
-          (fun co ->
-            flush stats set node co;
-            if queued co = 0 then begin
-              co.in_busy <- false;
-              match co.fd with
-              | Some fd -> Readiness.set set.rd fd ~read:false ~write:false
-              | None -> ()
+    let n_ready = node.n_ready in
+    node.n_ready <- 0;
+    for j = 0 to n_ready - 1 do
+      let ci = node.ready_ins.(j) in
+      ci.ready <- false;
+      if not (read_conn stats set.sbuf ci f) then drop_in stats set node ci
+    done;
+    let n_busy = node.n_busy in
+    node.n_busy <- 0;
+    for j = 0 to n_busy - 1 do
+      let co = node.busy.(j) in
+      flush stats set node co;
+      if queued co = 0 then begin
+        co.in_busy <- false;
+        match co.fd with
+        | Some fd -> Readiness.set set.rd fd ~read:false ~write:false
+        | None -> ()
+      end
+      else begin
+        node.busy.(node.n_busy) <- co;
+        node.n_busy <- node.n_busy + 1;
+        match co.fd with
+        | Some fd -> Readiness.set set.rd fd ~read:false ~write:true
+        | None ->
+            if not co.in_retry then begin
+              co.in_retry <- true;
+              set.retry_outs <- (node, co) :: set.retry_outs
             end
-            else begin
-              node.busy <- co :: node.busy;
-              match co.fd with
-              | Some fd -> reg stats set fd (Out (node, co)) ~read:false ~write:true
-              | None ->
-                  if not co.in_retry then begin
-                    co.in_retry <- true;
-                    set.retry_outs <- (node, co) :: set.retry_outs
-                  end
-            end)
-          busy
+      end
+    done
+
+  (* Where a ready fd's event goes. Built once per set: the running
+     wait's callback and dead connections pass through the set's
+     mutable fields, so a wait allocates no closure. *)
+  let dispatch set ~fd ~readable ~writable =
+    match set.fdx.(fd) with
+    | Free -> ()
+    | SelfWake -> Wakeup.drain set.selfwake
+    | Listener node ->
+        if readable then begin
+          node.accept_ready <- true;
+          set.on_ready node.id
+        end
+    | In (node, ci) ->
+        if readable && not ci.ready then begin
+          mark_ready node ci;
+          set.on_ready node.id
+        end
+    | Out (node, co) ->
+        if queued co = 0 then
+          (* Zero interest, yet an event: only ERR/HUP can land here —
+             the peer closed an idle connection. Drop it (deferred) or
+             level-triggered epoll reports it on every wait. *)
+          set.dead_outs <- co :: set.dead_outs
+        else if writable then set.on_ready node.id
+
+  let blit_string frame dst off =
+    Bytes.blit_string frame 0 dst off (String.length frame)
+
+  let blit_buffer buf dst off = Buffer.blit buf 0 dst off (Buffer.length buf)
+
+  (* Monotone max of any single peer's backlog — how close the run came
+     to the high-water drop threshold. *)
+  let rec bump_hwm stats v =
+    let cur = Atomic.get stats.out_hwm_bytes in
+    if v > cur && not (Atomic.compare_and_set stats.out_hwm_bytes cur v) then
+      bump_hwm stats v
 
   let create ?readiness ~clock:_ ~n ~owned ~addrs () =
     Lazy.force ignore_sigpipe;
@@ -671,11 +728,14 @@ module Sockets = struct
                 | Unix.ADDR_UNIX _ -> false);
               ins = [];
               outs = Hashtbl.create 4;
+              last_out = None;
               claimed = false;
               tracked = None;
               accept_ready = false;
-              ready_ins = [];
-              busy = [];
+              ready_ins = [||];
+              n_ready = 0;
+              busy = [||];
+              n_busy = 0;
             })
       owned;
     let host ~what i =
@@ -687,31 +747,40 @@ module Sockets = struct
                what i)
     in
     let out_conn node dst =
-      match Hashtbl.find_opt node.outs dst with
-      | Some co -> co
-      | None ->
+      match node.last_out with
+      | Some co when co.dst = dst -> co
+      | _ ->
           let co =
-            {
-              addr = addrs.(dst);
-              fd = None;
-              out = Bytes.create 4096;
-              out_pos = 0;
-              out_len = 0;
-              bounds = Queue.create ();
-              head_off = 0;
-              backoff = backoff_min;
-              retry_at = 0.0;
-              in_busy = false;
-              in_retry = false;
-            }
+            match Hashtbl.find_opt node.outs dst with
+            | Some co -> co
+            | None ->
+                let co =
+                  {
+                    dst;
+                    addr = addrs.(dst);
+                    fd = None;
+                    out = Bytes.create 4096;
+                    out_pos = 0;
+                    out_len = 0;
+                    bounds = Tr_sim.Fifo.Int.create ();
+                    head_off = 0;
+                    backoff = backoff_min;
+                    retry_at = 0.0;
+                    in_busy = false;
+                    in_retry = false;
+                  }
+                in
+                Hashtbl.replace node.outs dst co;
+                co
           in
-          Hashtbl.replace node.outs dst co;
+          node.last_out <- Some co;
           co
     in
     (* Enqueue only — the coalesced buffer is flushed once per [poll],
        so a burst of sends inside one loop iteration shares a single
-       write syscall. *)
-    let enqueue ~src ~dst ~len blit =
+       write syscall. [blit src dst_buf dst_off] copies the frame; it is
+       a top-level function, so a send builds no closure. *)
+    let enqueue ~src ~dst ~len blit frame =
       check_node ~what:"send dst" ~n dst;
       let node = host ~what:"send src" src in
       let co = out_conn node dst in
@@ -719,28 +788,19 @@ module Sockets = struct
       else begin
         Atomic.incr stats.frames_sent;
         ignore (Atomic.fetch_and_add stats.bytes_sent len);
-        append co ~len blit;
-        (* Monotone max of any single peer's backlog — how close the run
-           came to the high-water drop threshold. *)
-        let rec bump v =
-          let cur = Atomic.get stats.out_hwm_bytes in
-          if v > cur && not (Atomic.compare_and_set stats.out_hwm_bytes cur v)
-          then bump v
-        in
-        bump (queued co);
-        if not co.in_busy then begin
-          co.in_busy <- true;
-          node.busy <- co :: node.busy
-        end
+        reserve co len;
+        blit frame co.out co.out_len;
+        co.out_len <- co.out_len + len;
+        Tr_sim.Fifo.Int.push co.bounds len;
+        bump_hwm stats (queued co);
+        mark_busy node co
       end
     in
     let send ~src ~dst ~delay:_ frame =
-      enqueue ~src ~dst ~len:(String.length frame) (fun dst_buf dst_off ->
-          Bytes.blit_string frame 0 dst_buf dst_off (String.length frame))
+      enqueue ~src ~dst ~len:(String.length frame) blit_string frame
     in
     let send_frame ~src ~dst ~delay:_ buf =
-      enqueue ~src ~dst ~len:(Buffer.length buf) (fun dst_buf dst_off ->
-          Buffer.blit buf 0 dst_buf dst_off (Buffer.length buf))
+      enqueue ~src ~dst ~len:(Buffer.length buf) blit_buffer buf
     in
     let poll ~owner ~upto:_ f =
       (* Socket arrival times are physical: any buffered byte arrived in
@@ -761,10 +821,12 @@ module Sockets = struct
       let set =
         {
           rd = Readiness.create ~backend:rd_backend ();
-          fdx = Hashtbl.create 256;
+          fdx = Array.make 256 Free;
           sbuf = Bytes.create 65536;
           retry_outs = [];
           selfwake;
+          on_ready = ignore;
+          dead_outs = [];
         }
       in
       (* The shard's own wake pipe rides in its set from day one. *)
@@ -780,83 +842,67 @@ module Sockets = struct
       reg stats set node.listen (Listener node) ~read:true ~write:false;
       node.accept_ready <- true
     in
+    (* Down peers with queued bytes wake their owner when the backoff
+       expires; until then they bound the sleep, which this returns. *)
+    let retry_due set timeout =
+      let now = Unix.gettimeofday () in
+      let timeout = ref timeout in
+      set.retry_outs <-
+        List.filter
+          (fun (node, co) ->
+            if co.fd <> None || queued co = 0 then begin
+              co.in_retry <- false;
+              false
+            end
+            else if co.retry_at <= now then begin
+              co.in_retry <- false;
+              mark_busy node co;
+              set.on_ready node.id;
+              timeout := 0.0;
+              false
+            end
+            else begin
+              timeout := Float.min !timeout (co.retry_at -. now);
+              true
+            end)
+          set.retry_outs;
+      !timeout
+    in
     (* Block in the shard's readiness set until one of its fds is ready;
        each event is dispatched through the fd index and surfaced to the
        caller as an [on_ready owner] activation, so the shard loop knows
        exactly which nodes to poll. Nothing here walks the owner list:
        the cost is O(ready) plus the retry queue. *)
-    let wait_set set ~timeout_s ~on_ready =
-      let timeout = ref (Float.max 0.0 (Float.min timeout_s max_wait_s)) in
-      (* Down peers with queued bytes wake their owner when the backoff
-         expires; until then they bound the sleep. *)
-      if set.retry_outs <> [] then begin
-        let now = Unix.gettimeofday () in
-        set.retry_outs <-
-          List.filter
-            (fun (node, co) ->
-              if co.fd <> None || queued co = 0 then begin
-                co.in_retry <- false;
-                false
-              end
-              else if co.retry_at <= now then begin
-                co.in_retry <- false;
-                if not co.in_busy then begin
-                  co.in_busy <- true;
-                  node.busy <- co :: node.busy
-                end;
-                on_ready node.id;
-                timeout := 0.0;
-                false
-              end
-              else begin
-                timeout := Float.min !timeout (co.retry_at -. now);
-                true
-              end)
-            set.retry_outs
-      end;
-      Atomic.incr stats.wait_calls;
-      (* Idle-Out connections torn down by the peer (ERR/HUP with zero
-         write interest) are collected here and dropped only after the
-         dispatch loop finishes: Readiness.wait's callback must not
-         mutate the set, and an eager remove would swap-compact the poll
-         backend's dense arrays mid-iteration. *)
-      let dead_outs = ref [] in
-      let ready =
-        Readiness.wait set.rd ~timeout_s:!timeout
-          (fun ~fd ~readable ~writable ->
-            match Hashtbl.find_opt set.fdx fd with
-            | None -> ()
-            | Some SelfWake -> Wakeup.drain set.selfwake
-            | Some (Listener node) ->
-                if readable then begin
-                  node.accept_ready <- true;
-                  on_ready node.id
-                end
-            | Some (In (node, ci)) ->
-                if readable && not ci.ready then begin
-                  ci.ready <- true;
-                  node.ready_ins <- ci :: node.ready_ins;
-                  on_ready node.id
-                end
-            | Some (Out (node, co)) ->
-                if queued co = 0 then begin
-                  (* Zero interest, yet an event: only ERR/HUP can land
-                     here — the peer closed an idle connection. Drop it
-                     (deferred) or level-triggered epoll reports it on
-                     every wait. *)
-                  match co.fd with
-                  | Some cfd when fd_int cfd = fd ->
-                      dead_outs := (cfd, co) :: !dead_outs
-                  | _ -> ()
-                end
-                else if writable then on_ready node.id)
+    let wait_set set dispatch ~timeout_s ~on_ready =
+      set.on_ready <- on_ready;
+      let timeout =
+        if timeout_s <= 0.0 then 0.0
+        else if timeout_s >= max_wait_s then max_wait_s
+        else timeout_s
       in
-      List.iter
-        (fun (cfd, co) ->
-          unreg stats set cfd;
-          close_quietly cfd;
-          co.fd <- None)
-        !dead_outs;
+      let timeout =
+        match set.retry_outs with [] -> timeout | _ -> retry_due set timeout
+      in
+      Atomic.incr stats.wait_calls;
+      let ready = Readiness.wait set.rd ~timeout_s:timeout dispatch in
+      (* Idle-Out connections torn down by the peer are dropped only now:
+         Readiness.wait's callback must not mutate the set, and an eager
+         remove would swap-compact the poll backend's dense arrays
+         mid-iteration. *)
+      (match set.dead_outs with
+      | [] -> ()
+      | dead ->
+          set.dead_outs <- [];
+          List.iter
+            (fun co ->
+              match co.fd with
+              | Some cfd ->
+                  unreg stats set cfd;
+                  close_quietly cfd;
+                  co.fd <- None
+              | None -> ())
+            dead);
+      set.on_ready <- ignore;
       if ready > 0 then ignore (Atomic.fetch_and_add stats.fds_ready ready)
     in
     (* The owner walk happens here, once: ranges, hosting and exclusive
@@ -897,17 +943,24 @@ module Sockets = struct
       Mutex.lock handles_mu;
       handles := h :: !handles;
       Mutex.unlock handles_mu;
+      let adopt () =
+        let set = make_set h.wakeup in
+        List.iter (track_node set) h.members;
+        h.hset <- Some set;
+        set
+      in
+      let armed = ref None in
       let wait_fn ~timeout_s ~on_ready =
-        let set =
-          match h.hset with
-          | Some set -> set
+        let set, d =
+          match !armed with
+          | Some sd -> sd
           | None ->
-              let set = make_set h.wakeup in
-              List.iter (track_node set) h.members;
-              h.hset <- Some set;
-              set
+              let set = adopt () in
+              let sd = (set, dispatch set) in
+              armed := Some sd;
+              sd
         in
-        wait_set set ~timeout_s ~on_ready
+        wait_set set d ~timeout_s ~on_ready
       in
       { wait_fn; wake_fn = (fun () -> Wakeup.wake h.wakeup) }
     in

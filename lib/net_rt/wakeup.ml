@@ -27,23 +27,17 @@ let wake t =
   Atomic.incr t.writes;
   (* A full pipe is fine: readability is already pending, which is all
      a wake means. Any other error means we are shutting down. *)
-  try ignore (Unix.single_write t.w byte 0 1) with Unix.Unix_error _ -> ()
+  ignore (Fdio.write t.w byte 0 1)
 
 (* A read shorter than the buffer took every byte the pipe held, so it
    is empty at that instant: stop there instead of paying a second read
    just to see EAGAIN. A wake landing after it is a fresh readiness
-   event, which the next wait reports. *)
-let drain t =
-  let rec go () =
-    Atomic.incr t.reads;
-    match Unix.read t.r t.buf 0 (Bytes.length t.buf) with
-    | k when k = Bytes.length t.buf -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  go ()
+   event, which the next wait reports; so is a byte left behind by a
+   failed read, since the pipe is level-triggered. *)
+let rec drain t =
+  Atomic.incr t.reads;
+  if Fdio.read t.r t.buf 0 (Bytes.length t.buf) = Bytes.length t.buf then
+    drain t
 
 let close t =
   (try Unix.close t.r with Unix.Unix_error _ -> ());

@@ -25,6 +25,6 @@ val wake : t -> unit
 
 val drain : t -> unit
 (** Read the pipe empty: until a read comes back shorter than the
-    buffer, or [EAGAIN]. Owning shard only. *)
+    buffer or fails ([EAGAIN] once it is empty). Owning shard only. *)
 
 val close : t -> unit

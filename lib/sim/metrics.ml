@@ -17,26 +17,32 @@ let sketch_add s x =
   P2.add s.q90 x;
   P2.add s.q99 x
 
+(* The two float fields updated on every event live in an all-float
+   record, which OCaml stores flat: as fields of [t] every store would
+   box. *)
+type clocks = { mutable last_arrival : float; mutable last_service_time : float }
+
 type t = {
   n : int;
-  pending : float Queue.t array; (* arrival times, FIFO per node *)
-  (* Global arrival log with lazy deletion: entries are
-     [(node, per-node index, arrival)]. While arrivals come in
+  pending : Fifo.Float.t array; (* arrival times, FIFO per node *)
+  (* Global arrival log with lazy deletion, as two queues in lockstep:
+     the node and its per-node request index. While arrivals come in
      non-decreasing time order (true under the engine, which processes
-     events chronologically), the queue front — after discarding entries
-     whose request was already served — IS the earliest outstanding
-     arrival, making the responsiveness window lookup amortised O(1)
-     instead of an O(n) scan per serve. If a caller ever feeds
-     out-of-order arrivals directly, [fifo_monotone] trips and we fall
-     back to the scan, so the value is exact either way. *)
-  arrivals_fifo : (int * int * float) Queue.t;
+     events chronologically), the log's front — after discarding entries
+     whose request was already served — names the earliest outstanding
+     arrival, and that request heads its node's [pending] queue, so the
+     responsiveness window lookup is amortised O(1) instead of an O(n)
+     scan per serve. If a caller ever feeds out-of-order arrivals
+     directly, [fifo_monotone] trips and we fall back to the scan, so
+     the value is exact either way. *)
+  arrivals_node : Fifo.Int.t;
+  arrivals_idx : Fifo.Int.t;
   arrival_idx : int array; (* arrivals recorded per node *)
   served_idx : int array; (* serves recorded per node *)
   mutable fifo_monotone : bool;
-  mutable last_arrival : float;
+  clocks : clocks;
   mutable total_pending : int;
   mutable serves : int;
-  mutable last_service_time : float;
   responsiveness : Summary.t;
   responsiveness_q : Quantile.t;
   responsiveness_sk : sketches;
@@ -56,15 +62,15 @@ let create ~n =
   if n < 1 then invalid_arg "Metrics.create: n < 1";
   {
     n;
-    pending = Array.init n (fun _ -> Queue.create ());
-    arrivals_fifo = Queue.create ();
+    pending = Array.init n (fun _ -> Fifo.Float.create ());
+    arrivals_node = Fifo.Int.create ();
+    arrivals_idx = Fifo.Int.create ();
     arrival_idx = Array.make n 0;
     served_idx = Array.make n 0;
     fifo_monotone = true;
-    last_arrival = neg_infinity;
+    clocks = { last_arrival = neg_infinity; last_service_time = neg_infinity };
     total_pending = 0;
     serves = 0;
-    last_service_time = neg_infinity;
     responsiveness = Summary.create ();
     responsiveness_q = Quantile.create ();
     responsiveness_sk = make_sketches ();
@@ -83,64 +89,68 @@ let create ~n =
 let n t = t.n
 
 let on_request t ~time ~node =
-  Queue.push time t.pending.(node);
-  if time < t.last_arrival then t.fifo_monotone <- false
-  else t.last_arrival <- time;
-  Queue.push (node, t.arrival_idx.(node), time) t.arrivals_fifo;
+  Fifo.Float.push t.pending.(node) time;
+  if time < t.clocks.last_arrival then t.fifo_monotone <- false
+  else t.clocks.last_arrival <- time;
+  Fifo.Int.push t.arrivals_node node;
+  Fifo.Int.push t.arrivals_idx t.arrival_idx.(node);
   t.arrival_idx.(node) <- t.arrival_idx.(node) + 1;
   t.total_pending <- t.total_pending + 1
 
-(* O(n) fallback, allocation-free (no [peek_opt] option per node). *)
+(* O(n) fallback. *)
 let scan_earliest t =
   let best = ref infinity in
   Array.iter
     (fun q ->
-      if not (Queue.is_empty q) then begin
-        let arrival = Queue.peek q in
+      if not (Fifo.Float.is_empty q) then begin
+        let arrival = Fifo.Float.peek q in
         if arrival < !best then best := arrival
       end)
     t.pending;
   !best
 
-let earliest_outstanding t =
+let[@inline] earliest_outstanding t =
   if not t.fifo_monotone then scan_earliest t
   else begin
-    let stale = ref true in
-    while !stale && not (Queue.is_empty t.arrivals_fifo) do
-      let node, idx, _ = Queue.peek t.arrivals_fifo in
-      if idx < t.served_idx.(node) then ignore (Queue.pop t.arrivals_fifo)
-      else stale := false
+    while
+      (not (Fifo.Int.is_empty t.arrivals_node))
+      && Fifo.Int.peek t.arrivals_idx
+         < t.served_idx.(Fifo.Int.peek t.arrivals_node)
+    do
+      ignore (Fifo.Int.pop t.arrivals_node);
+      ignore (Fifo.Int.pop t.arrivals_idx)
     done;
-    if Queue.is_empty t.arrivals_fifo then infinity
-    else
-      let _, _, arrival = Queue.peek t.arrivals_fifo in
-      arrival
+    if Fifo.Int.is_empty t.arrivals_node then infinity
+    else Fifo.Float.peek t.pending.(Fifo.Int.peek t.arrivals_node)
   end
 
 let on_serve t ~time ~node =
-  match Queue.take_opt t.pending.(node) with
-  | None -> invalid_arg "Metrics.on_serve: no outstanding request at node"
-  | Some arrival ->
-      t.served_idx.(node) <- t.served_idx.(node) + 1;
-      (* [arrival] has already been popped, but it still bounds the window:
-         the demand window opened at the earliest outstanding request,
-         which is [min arrival (earliest remaining)]. *)
-      let window_open =
-        Stdlib.min arrival (earliest_outstanding t)
-      in
-      let window_open = Stdlib.max window_open t.last_service_time in
-      let sample = time -. window_open in
-      Summary.add t.responsiveness sample;
-      Quantile.add t.responsiveness_q sample;
-      sketch_add t.responsiveness_sk sample;
-      let waited = time -. arrival in
-      Summary.add t.waiting waited;
-      Quantile.add t.waiting_q waited;
-      sketch_add t.waiting_sk waited;
-      Summary.add t.waiting_per_node.(node) waited;
-      t.total_pending <- t.total_pending - 1;
-      t.serves <- t.serves + 1;
-      t.last_service_time <- time
+  let q = t.pending.(node) in
+  if Fifo.Float.is_empty q then
+    invalid_arg "Metrics.on_serve: no outstanding request at node";
+  let arrival = Fifo.Float.pop q in
+  t.served_idx.(node) <- t.served_idx.(node) + 1;
+  (* [arrival] has already been popped, but it still bounds the window:
+     the demand window opened at the earliest outstanding request,
+     which is [min arrival (earliest remaining)]. *)
+  let earliest = earliest_outstanding t in
+  let window_open = if arrival <= earliest then arrival else earliest in
+  let last = t.clocks.last_service_time in
+  let window_open = if window_open >= last then window_open else last in
+  (* Box each sample once: closure-mode ocamlopt would otherwise box a
+     let-bound float afresh at every call that takes it. *)
+  let sample = Sys.opaque_identity (time -. window_open) in
+  Summary.add t.responsiveness sample;
+  Quantile.add t.responsiveness_q sample;
+  sketch_add t.responsiveness_sk sample;
+  let waited = Sys.opaque_identity (time -. arrival) in
+  Summary.add t.waiting waited;
+  Quantile.add t.waiting_q waited;
+  sketch_add t.waiting_sk waited;
+  Summary.add t.waiting_per_node.(node) waited;
+  t.total_pending <- t.total_pending - 1;
+  t.serves <- t.serves + 1;
+  t.clocks.last_service_time <- time
 
 let on_message t channel cls =
   (match cls with
@@ -155,8 +165,11 @@ let on_token_possession t ~node =
   t.total_possessions <- t.total_possessions + 1
 
 let on_search_forward t = t.search_forwards <- t.search_forwards + 1
-let pending t ~node = Queue.length t.pending.(node)
-let oldest_arrival t ~node = Queue.peek_opt t.pending.(node)
+let pending t ~node = Fifo.Float.length t.pending.(node)
+
+let oldest_arrival t ~node =
+  let q = t.pending.(node) in
+  if Fifo.Float.is_empty q then None else Some (Fifo.Float.peek q)
 let total_pending t = t.total_pending
 let serves t = t.serves
 let responsiveness t = t.responsiveness

@@ -31,6 +31,24 @@ type view = { buf : Bytes.t; off : int; len : int }
 
 let view_to_string { buf; off; len } = Bytes.sub_string buf off len
 
+(* The length varint of a frame whose header starts at [buf.[base]],
+   with [len] bytes available from there, packed as
+   [(plen lsl 4) lor bytes_used] so the hot path allocates nothing:
+   negative codes are errors (-1 malformed, -2 truncated, -3 payload
+   over cap). Packing is safe because plen is checked against
+   [max_payload] (24 bits) before shifting. 63-bit ints need at most 9
+   LEB128 groups (shift cap 56); a 10th byte would shift by 63, which is
+   unspecified for OCaml ints, so reject before reading it. *)
+let rec varint_code buf base len acc shift used =
+  if used >= 9 then -1
+  else if 2 + used >= len then -2
+  else
+    let b = Char.code (Bytes.unsafe_get buf (base + 2 + used)) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then
+      if acc < 0 || acc > max_payload then -3 else (acc lsl 4) lor (used + 1)
+    else varint_code buf base len acc (shift + 7) (used + 1)
+
 module Decoder = struct
   type progress = Frame of string | Await | Skip of string
 
@@ -84,24 +102,6 @@ module Decoder = struct
     t.len <- t.len - k;
     if t.len = 0 then t.start <- 0
 
-  (* Read a uvarint at offset [off]; [Ok (value, bytes_used)], [Error
-     `Await] when the buffered input ends mid-varint, [Error `Malformed]
-     on an overlong encoding. Mirrors [Buf.Dec.uvarint]: 63-bit ints
-     need at most 9 LEB128 groups (shift cap 56); a 10th byte would
-     shift by 63, which is unspecified for OCaml ints, so reject before
-     reading it. *)
-  let read_uvarint t off =
-    let rec go acc shift used =
-      if used >= 9 then Error `Malformed
-      else if off + used >= t.len then Error `Await
-      else
-        let b = peek t (off + used) in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then Ok (acc, used + 1)
-        else go acc (shift + 7) (used + 1)
-    in
-    go 0 0 0
-
   (* Drop the bogus leading byte and scan to the next candidate magic so
      the stream re-locks at the following frame boundary. *)
   let resync t reason =
@@ -123,29 +123,28 @@ module Decoder = struct
     else if t.len < 2 then Await_view
     else
       let v = peek t 1 in
-      match read_uvarint t 2 with
-      | Error `Await -> Await_view
-      | Error `Malformed -> Skip_view (resync t "malformed length varint")
-      | Ok (plen, used) ->
-          (* A sign-overflowed varint decodes negative — treat it like
-             any oversized declaration, never as an offset. *)
-          if plen < 0 || plen > max_payload then
-            Skip_view
-              (resync t (Printf.sprintf "declared payload %d exceeds cap" plen))
-          else begin
-            let total = 2 + used + plen in
-            if t.len < total then Await_view
-            else if v <> version then begin
-              consume t total;
-              t.skips <- t.skips + 1;
-              Skip_view (Printf.sprintf "unsupported frame version %d" v)
-            end
-            else begin
-              let off = t.start + 2 + used in
-              consume t total;
-              View { buf = t.buf; off; len = plen }
-            end
-          end
+      let code = varint_code t.buf t.start t.len 0 0 0 in
+      if code = -2 then Await_view
+      else if code = -1 then Skip_view (resync t "malformed length varint")
+      else if code = -3 then
+        (* A sign-overflowed varint decodes negative — treated like any
+           oversized declaration, never as an offset. *)
+        Skip_view (resync t "declared payload exceeds cap")
+      else begin
+        let used = code land 0xf and plen = code lsr 4 in
+        let total = 2 + used + plen in
+        if t.len < total then Await_view
+        else if v <> version then begin
+          consume t total;
+          t.skips <- t.skips + 1;
+          Skip_view (Printf.sprintf "unsupported frame version %d" v)
+        end
+        else begin
+          let off = t.start + 2 + used in
+          consume t total;
+          View { buf = t.buf; off; len = plen }
+        end
+      end
 
   let next t =
     match next_view t with
@@ -153,21 +152,6 @@ module Decoder = struct
     | Await_view -> Await
     | Skip_view reason -> Skip reason
 end
-
-(* Length varint of a whole-string frame, packed as
-   [(plen lsl 4) lor bytes_used] so the hot path allocates nothing:
-   negative codes are errors (-1 malformed, -2 truncated, -3 payload
-   over cap). Packing is safe because plen is checked against
-   [max_payload] (24 bits) before shifting. *)
-let rec exact_varint buf len acc shift used =
-  if used >= 9 then -1
-  else if 2 + used >= len then -2
-  else
-    let b = Char.code (Bytes.unsafe_get buf (2 + used)) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then
-      if acc < 0 || acc > max_payload then -3 else (acc lsl 4) lor (used + 1)
-    else exact_varint buf len acc (shift + 7) (used + 1)
 
 (* Exactly one frame spanning the whole string — the loopback fast path,
    where every mailbox entry is a single encoder-produced frame. The
@@ -180,7 +164,7 @@ let decode_exact frame =
   else if Char.code (Bytes.unsafe_get buf 1) <> version then
     Error "unsupported frame version"
   else
-    let code = exact_varint buf len 0 0 0 in
+    let code = varint_code buf 0 len 0 0 0 in
     if code = -1 then Error "malformed length varint"
     else if code = -2 then Error "truncated length varint"
     else if code = -3 then Error "declared payload too long"

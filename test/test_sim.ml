@@ -392,6 +392,114 @@ let test_metrics_fifo_waiting () =
     "next oldest" (Some 5.0)
     (Metrics.oldest_arrival m ~node:0)
 
+(* Both FIFOs against Stdlib.Queue over a seeded run of pushes and pops:
+   the queues grow several times over and their heads wrap around the
+   buffer again and again. *)
+let test_fifo_model () =
+  let rng = Rng.create 17 in
+  let ints = Fifo.Int.create () and floats = Fifo.Float.create () in
+  let model = Queue.create () in
+  for step = 1 to 20_000 do
+    (* Mostly pushes in the first half, mostly pops in the second: the
+       length climbs past several capacities, then drains. *)
+    let push_bias = if step < 10_000 then 6 else 4 in
+    if Queue.is_empty model || Rng.int rng 10 < push_bias then begin
+      let x = Rng.int rng 1_000_000 in
+      Queue.push x model;
+      Fifo.Int.push ints x;
+      Fifo.Float.push floats (float_of_int x /. 7.0)
+    end
+    else begin
+      let x = Queue.pop model in
+      Alcotest.(check int) "int peek" x (Fifo.Int.peek ints);
+      Alcotest.(check int) "int pop" x (Fifo.Int.pop ints);
+      check_float "float pop" (float_of_int x /. 7.0) (Fifo.Float.pop floats)
+    end;
+    Alcotest.(check int) "int length" (Queue.length model) (Fifo.Int.length ints);
+    Alcotest.(check int) "float length" (Queue.length model)
+      (Fifo.Float.length floats)
+  done;
+  while not (Fifo.Int.is_empty ints) do
+    ignore (Fifo.Int.pop ints)
+  done;
+  Fifo.Float.clear floats;
+  Alcotest.(check bool) "emptied" true
+    (Fifo.Int.is_empty ints && Fifo.Float.is_empty floats);
+  Alcotest.check_raises "empty int pop"
+    (Invalid_argument "Fifo.Int.peek: empty") (fun () ->
+      ignore (Fifo.Int.pop ints));
+  Alcotest.check_raises "empty float peek"
+    (Invalid_argument "Fifo.Float.peek: empty") (fun () ->
+      ignore (Fifo.Float.peek floats))
+
+(* Metrics against a naive reference on a seeded request/serve
+   sequence. The reference keeps each node's arrivals in a list and
+   finds the earliest outstanding request by scanning them all. Bursts
+   pile many requests onto a node, so the per-node queues and the global
+   arrival log both grow and wrap. With [disorder] some arrivals are
+   stamped before the latest one, which sends Metrics down its scan
+   path; without, it must take the log path and still agree exactly. *)
+let metrics_vs_reference ~disorder ~seed =
+  let n = 6 in
+  let rng = Rng.create seed in
+  let m = Metrics.create ~n in
+  let pending = Array.make n [] in
+  let last_service = ref neg_infinity in
+  let resp = ref [] and waits = ref [] in
+  let now = ref 0.0 in
+  for _ = 1 to 5_000 do
+    now := !now +. Rng.float rng 1.0;
+    let outstanding = Array.exists (fun l -> l <> []) pending in
+    if (not outstanding) || Rng.int rng 10 < 5 then begin
+      let node = Rng.int rng n in
+      let burst = if Rng.int rng 20 = 0 then 12 else 1 in
+      for _ = 1 to burst do
+        let time =
+          if disorder && Rng.int rng 4 = 0 then !now -. Rng.float rng 5.0
+          else !now
+        in
+        pending.(node) <- pending.(node) @ [ time ];
+        Metrics.on_request m ~time ~node
+      done
+    end
+    else begin
+      let rec pick () =
+        let node = Rng.int rng n in
+        if pending.(node) = [] then pick () else node
+      in
+      let node = pick () in
+      let arrival = List.hd pending.(node) in
+      pending.(node) <- List.tl pending.(node);
+      let earliest =
+        Array.fold_left (List.fold_left Float.min) arrival pending
+      in
+      let time = !now in
+      resp := (time -. Float.max earliest !last_service) :: !resp;
+      waits := (time -. arrival) :: !waits;
+      last_service := time;
+      Metrics.on_serve m ~time ~node
+    end
+  done;
+  let sorted l = Array.of_list (List.sort Float.compare l) in
+  let samples q = Tr_stats.Quantile.to_sorted_array q in
+  Alcotest.(check (array (float 0.0)))
+    "responsiveness samples" (sorted !resp)
+    (samples (Metrics.responsiveness_quantiles m));
+  Alcotest.(check (array (float 0.0)))
+    "waiting samples" (sorted !waits)
+    (samples (Metrics.waiting_quantiles m));
+  Array.iteri
+    (fun node l ->
+      Alcotest.(check int) "pending per node" (List.length l)
+        (Metrics.pending m ~node))
+    pending
+
+let test_metrics_log_matches_reference () =
+  metrics_vs_reference ~disorder:false ~seed:3
+
+let test_metrics_scan_matches_reference () =
+  metrics_vs_reference ~disorder:true ~seed:4
+
 let test_metrics_messages_and_possessions () =
   let m = Metrics.create ~n:3 in
   Metrics.on_message m Network.Reliable Metrics.Token_msg;
@@ -814,7 +922,12 @@ let () =
           Alcotest.test_case "messages/possessions" `Quick
             test_metrics_messages_and_possessions;
           Alcotest.test_case "waiting fairness" `Quick test_metrics_waiting_fairness;
+          Alcotest.test_case "arrival log matches reference" `Quick
+            test_metrics_log_matches_reference;
+          Alcotest.test_case "out-of-order scan matches reference" `Quick
+            test_metrics_scan_matches_reference;
         ] );
+      ("fifo", [ Alcotest.test_case "model" `Quick test_fifo_model ]);
       ( "trace",
         [
           Alcotest.test_case "disabled" `Quick test_trace_disabled;
