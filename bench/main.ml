@@ -296,65 +296,79 @@ let parallel_report () =
    pure event-loop rotation (no serves, no metrics samples), the two
    Figure 9 protocol kernels at N = 1024, and a trace-enabled run (the
    one case where per-event label formatting is unavoidable). Event
-   counts are deterministic, so the committed pre-refactor wall-clock
-   numbers below — measured at commit f295206 with the same seeds,
-   stops and best-of-3 policy on the same host session — divide by the
-   same event totals the optimized code reports. *)
+   counts are deterministic per seed, so events/s compares two trees
+   exactly when both run this same report. *)
 let sim_cases quick =
   let scale k = if quick then Stdlib.max 1 (k / 10) else k in
   let poisson mean =
     Tokenring.Workload.Global_poisson { mean_interarrival = mean }
   in
-  let case ?(trace = false) name ~baseline_s protocol ~n ~workload ~stop =
+  let case ?(trace = false) name protocol ~n ~workload ~stop =
     let thunk () =
       let config =
         { (Tokenring.Engine.default_config ~n ~seed:7) with workload; trace }
       in
       Tokenring.Runner.run protocol config ~stop
     in
-    (name, baseline_s, thunk)
+    (name, thunk)
   in
   [
-    case "idle_rotation_ring_n4096" ~baseline_s:0.7398 Tr_proto.Ring.protocol
-      ~n:4096 ~workload:Tokenring.Workload.Nothing
+    case "idle_rotation_ring_n4096" Tr_proto.Ring.protocol ~n:4096
+      ~workload:Tokenring.Workload.Nothing
       ~stop:
         (Tokenring.Engine.At_time (if quick then 200_000.0 else 2_000_000.0));
-    case "fig9_ring_n1024" ~baseline_s:0.1651 Tr_proto.Ring.protocol ~n:1024
+    case "fig9_ring_n1024" Tr_proto.Ring.protocol ~n:1024
       ~workload:(poisson 10.0)
       ~stop:(Tokenring.Engine.After_serves (scale 20000));
-    case "fig9_binsearch_n1024" ~baseline_s:0.4768 Tr_proto.Binsearch.protocol
-      ~n:1024 ~workload:(poisson 10.0)
+    case "fig9_binsearch_n1024" Tr_proto.Binsearch.protocol ~n:1024
+      ~workload:(poisson 10.0)
       ~stop:(Tokenring.Engine.After_serves (scale 20000));
-    case ~trace:true "trace_on_ring_n256" ~baseline_s:0.1252
-      Tr_proto.Ring.protocol ~n:256 ~workload:(poisson 10.0)
+    case ~trace:true "trace_on_ring_n256" Tr_proto.Ring.protocol ~n:256
+      ~workload:(poisson 10.0)
       ~stop:(Tokenring.Engine.After_serves (scale 10000));
   ]
 
+let sim_repeats = 5
+
+(* Words allocated (minor + major - promoted) over one call of [f]. *)
+let allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let result = f () in
+  (result, words () -. w0)
+
 let sim_throughput_report () =
-  let reps = if quick then 1 else 3 in
+  let cases = sim_cases quick in
+  (* [sim_repeats] rounds, one run of each case per round, so the host's
+     speed drift lands on every case alike. *)
+  let rounds =
+    List.init sim_repeats (fun round ->
+        List.map
+          (fun (name, thunk) ->
+            Format.eprintf "timing %s (round %d)...@." name (round + 1);
+            let t0 = Unix.gettimeofday () in
+            ignore (thunk ());
+            Unix.gettimeofday () -. t0)
+          cases)
+  in
   let rows =
-    List.map
-      (fun (name, baseline_s, thunk) ->
-        Format.eprintf "timing %s...@." name;
-        let best_s = best_of reps thunk in
-        let outcome = thunk () in
-        let events = outcome.Tokenring.Runner.events in
-        let events_f = float_of_int events in
-        (* Baseline wall-clock only applies to the full-sized stops it
-           was measured with. *)
-        let baseline =
-          if quick then
-            {|"baseline_s": null, "baseline_events_per_s": null, "speedup": null|}
-          else
-            Printf.sprintf
-              {|"baseline_s": %.4f, "baseline_events_per_s": %.0f, "speedup": %.2f|}
-              baseline_s (events_f /. baseline_s) (baseline_s /. best_s)
-        in
+    List.mapi
+      (fun i (name, thunk) ->
+        let walls = List.map (fun round -> List.nth round i) rounds in
+        let outcome, words = allocated thunk in
+        let events = float_of_int outcome.Tokenring.Runner.events in
         Printf.sprintf
-          {|    { "case": %S, "events": %d, "wall_s": %.4f,
-      "events_per_s": %.0f, %s }|}
-          name events best_s (events_f /. best_s) baseline)
-      (sim_cases quick)
+          {|    { "case": %S, "events": %d, %s,
+      %s, "words_per_event": %.2f }|}
+          name outcome.Tokenring.Runner.events
+          (Common.spread ~digits:4 "wall_s" walls)
+          (Common.spread "events_per_s"
+             (List.map (fun wall -> events /. wall) walls))
+          (words /. events))
+      cases
   in
   Format.eprintf "running LARGE-N sweep...@.";
   let t0 = Unix.gettimeofday () in
@@ -370,10 +384,9 @@ let sim_throughput_report () =
   let json =
     Printf.sprintf
       {|{
-  "host": { "cores": %d, "ocaml": %S },
+  "host": { "cores": %d, "cpu": %S, "ocaml": %S },
   "mode": %S,
-  "baseline_commit": "f295206 (boxed pqueue entries, tuple-keyed timer epochs, list trace, unconditional label formatting)",
-  "policy": "wall-clock best of %d, seed 7; event counts are deterministic and identical before/after the refactor (verified byte-identical FIG9/FIG10 tables and traces)",
+  "policy": "%d rounds, one run of each case per round, seed 7; median and quartiles (name_q1, name_q3) over the rounds; words_per_event is minor + major - promoted words over one further run, divided by its events",
   "cases": [
 %s
   ],
@@ -381,9 +394,9 @@ let sim_throughput_report () =
 }
 |}
       (Domain.recommended_domain_count ())
-      Sys.ocaml_version
+      (Common.cpu_model ()) Sys.ocaml_version
       (if quick then "quick" else "full")
-      reps
+      sim_repeats
       (String.concat ",\n" rows)
       max_n large_s
   in

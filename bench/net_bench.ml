@@ -53,54 +53,22 @@ let repeats =
 
 let fi = float_of_int
 
-let sample xs =
-  let q = Quantile.create () in
-  Quantile.add_many q xs;
-  q
-
-let median xs = Quantile.median (sample xs)
-
-(* ["name": median, "name_q1": q1, "name_q3": q3] over a row's repeats. *)
-let spread ?(digits = 0) name xs =
-  let q = sample xs in
-  Printf.sprintf {|"%s": %.*f, "%s_q1": %.*f, "%s_q3": %.*f|} name digits
-    (Quantile.median q) name digits (Quantile.quantile q 0.25) name digits
-    (Quantile.quantile q 0.75)
+let median xs = Quantile.median (Common.sample xs)
+let spread = Common.spread
 
 (* As [spread], or null when any repeat lacks the figure. *)
 let spread_opt ?digits name xs =
   if List.mem None xs then Printf.sprintf {|"%s": null|} name
   else spread ?digits name (List.filter_map Fun.id xs)
 
-(* The "key: value" lines of a /proc file; [] off Linux. *)
-let proc_fields path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> []
-  | text ->
-      List.filter_map
-        (fun line ->
-          match String.index_opt line ':' with
-          | Some i ->
-              Some
-                ( String.trim (String.sub line 0 i),
-                  String.trim
-                    (String.sub line (i + 1) (String.length line - i - 1)) )
-          | None -> None)
-        (String.split_on_char '\n' text)
-
 (* [syscr + syscw] from /proc/self/io: every read- and write-type
    syscall this process made, as the kernel counts them. *)
 let kernel_rw () =
-  let fields = proc_fields "/proc/self/io" in
+  let fields = Common.proc_fields "/proc/self/io" in
   let get k = Option.bind (List.assoc_opt k fields) int_of_string_opt in
   match (get "syscr", get "syscw") with
   | Some r, Some w -> Some (r + w)
   | _ -> None
-
-(* The host the rows were measured on, for the report header. *)
-let cpu_model () =
-  List.assoc_opt "model name" (proc_fields "/proc/cpuinfo")
-  |> Option.value ~default:"unknown"
 
 (* [repeats] rounds over [cases], one run of each per round, so the
    host's speed drift lands on every case alike. Returns each case's
@@ -712,7 +680,7 @@ let () =
 }
 |}
       (Domain.recommended_domain_count ())
-      (Readiness.ncpus ()) (cpu_model ()) Sys.ocaml_version
+      (Readiness.ncpus ()) (Common.cpu_model ()) Sys.ocaml_version
       (if quick then "quick" else "full")
       repeats total uds_total batch
       (String.concat ",\n"

@@ -35,28 +35,23 @@ let serve_all = Proto_util.serve_all
 let push_trap state requester =
   { state with traps = Proto_util.Traps.push state.traps requester }
 
-let pop_trap state =
-  match Proto_util.Traps.pop state.traps with
-  | None -> (None, state)
-  | Some (requester, traps) -> (Some requester, { state with traps })
-
 (* The holder decides what to do with the token: lend it to the oldest
    trapped requester (FIFO, as Theorem 2 requires), or resume rotation.
    Traps for ourselves are satisfied on the spot by [serve_all] earlier,
    so they are skipped here. *)
 let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp =
-  match pop_trap state with
-  | Some requester, state' ->
-      if requester = ctx.self then dispatch ctx state' ~stamp
+  match Proto_util.Traps.pop state.traps with
+  | Some (requester, traps) ->
+      if requester = ctx.self then dispatch ctx { state with traps } ~stamp
       else begin
         ctx.send ~dst:requester (Loan { stamp });
-        { state' with holding = Lent { stamp } }
+        { state with holding = Lent { stamp }; traps }
       end
-  | None, state' ->
+  | None ->
       ctx.send
         ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
         (Token { stamp = stamp + 1 });
-      { state' with holding = Not_holding }
+      { state with holding = Not_holding }
 
 let launch_search (ctx : msg Node_intf.ctx) state =
   let span = ctx.n / 2 in
@@ -118,10 +113,11 @@ let make ?(throttle = false) ?name:(proto_name = if throttle then "binsearch-thr
       | Return { stamp } ->
           (* Our loan came back; serve whatever arrived meanwhile, then
              the next trap or the rotation resumes from here (rule 7's
-             "continues to flow from where it was first intercepted"). *)
+             "continues to flow from where it was first intercepted").
+             [dispatch] sets [holding] on every path. *)
           ctx.possession ();
           serve_all ctx;
-          dispatch ctx { state with holding = Not_holding } ~stamp
+          dispatch ctx state ~stamp
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state (* our own search came home *)
           else begin

@@ -1,5 +1,4 @@
 open Tr_sim
-module ISet = Set.Make (Int)
 
 let serve_all (ctx : 'msg Node_intf.ctx) =
   while ctx.pending () > 0 do
@@ -7,22 +6,20 @@ let serve_all (ctx : 'msg Node_intf.ctx) =
   done
 
 module Traps = struct
-  type t = { fifo : int list; members : ISet.t }
+  (* Banker's queue: [front] oldest first, [back] newest first. Ids are
+     immediate ints, so [List.memq] is exact equality without a C call. *)
+  type t = { front : int list; back : int list }
 
-  let empty = { fifo = []; members = ISet.empty }
-  let is_empty t = t.fifo = []
-  let mem t requester = ISet.mem requester t.members
+  let empty = { front = []; back = [] }
+  let is_empty = function { front = []; back = [] } -> true | _ -> false
+  let mem t r = List.memq r t.front || List.memq r t.back
+  let push t r = if mem t r then t else { t with back = r :: t.back }
 
-  let push t requester =
-    if mem t requester then t
-    else { fifo = t.fifo @ [ requester ]; members = ISet.add requester t.members }
+  let rec pop = function
+    | { front = requester :: front; back } -> Some (requester, { front; back })
+    | { front = []; back = [] } -> None
+    | { front = []; back } -> pop { front = List.rev back; back = [] }
 
-  let pop t =
-    match t.fifo with
-    | [] -> None
-    | requester :: rest ->
-        Some (requester, { fifo = rest; members = ISet.remove requester t.members })
-
-  let to_list t = t.fifo
-  let size t = List.length t.fifo
+  let to_list t = t.front @ List.rev t.back
+  let size t = List.length t.front + List.length t.back
 end

@@ -8,7 +8,9 @@ val serve_all : 'msg Node_intf.ctx -> unit
 
 (** Immutable FIFO of trapped requesters with set-semantics insertion:
     re-trapping an already-trapped requester is a no-op, matching the
-    specification's duplicate-free trap sets. *)
+    specification's duplicate-free trap sets. [push] and [pop] are
+    amortised O(1) and [mem] is O(size); every version stays valid after
+    newer ones are made from it. *)
 module Traps : sig
   type t
 

@@ -74,6 +74,11 @@ module Make (P : Node_intf.PROTOCOL) = struct
      [Deliver], and every [Deliver] sets it). *)
   let no_msg : P.msg = Obj.magic 0
 
+  (* The clock is stored on every event. In a one-field all-float record
+     it is stored flat; as a float field of [t], a mixed record, every
+     store would allocate a box. *)
+  type clock = { mutable time : float }
+
   type t = {
     config : config;
     (* [states] and [ctxs] are populated during [create]; handlers always
@@ -81,15 +86,17 @@ module Make (P : Node_intf.PROTOCOL) = struct
     mutable states : P.state array;
     mutable ctxs : P.msg Node_intf.ctx array;
     queue : event Pqueue.t;
-    mutable clock : float;
+    clock : clock;
     net_rng : Rng.t;
     workload : Workload.t;
     metrics : Metrics.t;
     trace : Trace.t;
     crashed : bool array;
     (* Timer epochs, scalar-keyed: slot [node * keyspace + key]. The
-       keyspace grows (rebuilding the table) if a protocol uses a key
-       >= the current bound; existing protocols use keys 1..5. *)
+       table is empty (keyspace 0) until the first [cancel_timers], so a
+       protocol that never cancels never pays for it; it grows
+       (rebuilding) whenever a key >= the current bound is cancelled.
+       Existing protocols use keys 1..5. *)
     mutable timer_epochs : int array;
     mutable keyspace : int;
     (* Free list of event records for reuse. *)
@@ -99,12 +106,16 @@ module Make (P : Node_intf.PROTOCOL) = struct
     mutable initialized : bool;
   }
 
-  let now t = t.clock
+  let now t = t.clock.time
   let metrics t = t.metrics
   let trace t = t.trace
   let state t i = t.states.(i)
   let crashed t i = t.crashed.(i)
   let events_processed t = t.events_processed
+
+  (* The later of two times: [Stdlib.max]'s own [a >= b] test, without
+     the polymorphic call, so a NaN in [b] still wins as it does there. *)
+  let[@inline] later (a : float) b = if a >= b then a else b
 
   (* ---------------- event pool ---------------- *)
 
@@ -168,14 +179,23 @@ module Make (P : Node_intf.PROTOCOL) = struct
 
   (* ---------------- node contexts ---------------- *)
 
-  let make_ctx t node : P.msg Node_intf.ctx =
+  let push_deliver t ~time ~src ~dst ~channel msg =
+    let e = acquire t in
+    e.tag <- Deliver;
+    e.src <- src;
+    e.dst <- dst;
+    e.channel <- channel;
+    e.msg <- msg;
+    Pqueue.push t.queue ~time e
+
+  let make_ctx t ~now ~search_forward node : P.msg Node_intf.ctx =
     let rng = Rng.create ((t.config.seed * 1_000_003) + node) in
     let send ?(channel = Network.Reliable) ~dst msg =
       if dst < 0 || dst >= t.config.n then
         invalid_arg "Engine: send destination out of range";
       Metrics.on_message t.metrics channel (P.classify msg);
       if Trace.enabled t.trace then
-        Trace.record t.trace ~time:t.clock
+        Trace.record t.trace ~time:t.clock.time
           (Trace.Sent { src = node; dst; channel; label = P.label msg });
       (* Chaos interposition, delivery side: the injector decides drop /
          duplicate / extra delay / corrupt for every protocol send. The
@@ -186,7 +206,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
         match t.config.chaos with
         | None -> None
         | Some inj ->
-            Some (Tr_chaos.Injector.on_send inj ~now:t.clock ~src:node ~dst)
+            Some
+              (Tr_chaos.Injector.on_send inj ~now:t.clock.time ~src:node ~dst)
       in
       let chaos_dropped =
         match chaos_action with
@@ -198,7 +219,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         || Network.dropped t.config.network t.net_rng channel ~src:node ~dst
       then begin
         if Trace.enabled t.trace then
-          Trace.record t.trace ~time:t.clock
+          Trace.record t.trace ~time:t.clock.time
             (Trace.Dropped { src = node; dst; label = P.label msg })
       end
       else begin
@@ -206,20 +227,15 @@ module Make (P : Node_intf.PROTOCOL) = struct
           Network.sample_delay t.config.network t.net_rng channel ~src:node
             ~dst
         in
-        let copies, extra_delay =
-          match chaos_action with
-          | Some a -> (a.Tr_chaos.Injector.copies, a.Tr_chaos.Injector.extra_delay)
-          | None -> (1, 0.0)
-        in
-        for _ = 1 to copies do
-          let e = acquire t in
-          e.tag <- Deliver;
-          e.src <- node;
-          e.dst <- dst;
-          e.channel <- channel;
-          e.msg <- msg;
-          Pqueue.push t.queue ~time:(t.clock +. delay +. extra_delay) e
-        done
+        let time = t.clock.time +. delay in
+        match chaos_action with
+        | None -> push_deliver t ~time ~src:node ~dst ~channel msg
+        | Some a ->
+            for _ = 1 to a.Tr_chaos.Injector.copies do
+              push_deliver t
+                ~time:(time +. a.Tr_chaos.Injector.extra_delay)
+                ~src:node ~dst ~channel msg
+            done
       end
     in
     let set_timer ~delay ~key =
@@ -229,14 +245,14 @@ module Make (P : Node_intf.PROTOCOL) = struct
         match t.config.chaos with
         | None -> delay
         | Some inj ->
-            delay *. Tr_chaos.Injector.timer_scale inj ~now:t.clock ~node
+            delay *. Tr_chaos.Injector.timer_scale inj ~now:t.clock.time ~node
       in
       let e = acquire t in
       e.tag <- Timer;
       e.src <- node;
       e.dst <- key;
       e.epoch <- timer_epoch t ~node ~key;
-      Pqueue.push t.queue ~time:(t.clock +. delay) e
+      Pqueue.push t.queue ~time:(t.clock.time +. delay) e
     in
     let cancel_timers ~key =
       check_timer_key key;
@@ -249,23 +265,23 @@ module Make (P : Node_intf.PROTOCOL) = struct
             (Printf.sprintf "Engine: node %d served with no pending request"
                node)
       | Some arrival ->
-          Metrics.on_serve t.metrics ~time:t.clock ~node;
+          Metrics.on_serve t.metrics ~time:t.clock.time ~node;
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock
-              (Trace.Served { node; waited = t.clock -. arrival });
+            Trace.record t.trace ~time:t.clock.time
+              (Trace.Served { node; waited = t.clock.time -. arrival });
           (* A [Continuous] competitor re-requests the moment it is served
              (Theorem 3's adversary). *)
           if Workload.wants_immediate_rerequest t.workload node then begin
             let e = acquire t in
             e.tag <- Arrival;
             e.nodes <- [ node ];
-            Pqueue.push t.queue ~time:t.clock e
+            Pqueue.push t.queue ~time:t.clock.time e
           end
     in
     {
       Node_intf.self = node;
       n = t.config.n;
-      now = (fun () -> t.clock);
+      now;
       rng;
       send;
       set_timer;
@@ -276,12 +292,12 @@ module Make (P : Node_intf.PROTOCOL) = struct
         (fun () ->
           Metrics.on_token_possession t.metrics ~node;
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock (Trace.Token_at { node }));
-      search_forward = (fun () -> Metrics.on_search_forward t.metrics);
+            Trace.record t.trace ~time:t.clock.time (Trace.Token_at { node }));
+      search_forward;
       note =
         (fun thunk ->
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock
+            Trace.record t.trace ~time:t.clock.time
               (Trace.Note { node; text = thunk () }));
     }
 
@@ -291,28 +307,36 @@ module Make (P : Node_intf.PROTOCOL) = struct
       Workload.make config.workload ~n:config.n
         ~rng:(Rng.create (config.seed lxor 0x5DEECE66D))
     in
-    let keyspace = 8 in
     let t =
       {
         config;
         states = [||];
         ctxs = [||];
         queue = Pqueue.create ();
-        clock = 0.0;
+        clock = { time = 0.0 };
         net_rng = Rng.create (config.seed lxor 0x2545F491);
         workload;
         metrics = Metrics.create ~n:config.n;
         trace = Trace.create ~enabled:config.trace ?window:config.trace_window ();
         crashed = Array.make config.n false;
-        timer_epochs = Array.make (config.n * keyspace) 0;
-        keyspace;
+        timer_epochs = [||];
+        keyspace = 0;
         pool = [||];
         pool_len = 0;
         events_processed = 0;
         initialized = false;
       }
     in
-    t.ctxs <- Array.init config.n (fun node -> make_ctx t node);
+    (* Set-up allocation is kept small on purpose. A lean run leaves a
+       small major heap behind it, so the next [create] pays to grow the
+       heap for whatever it allocates. At N = 1024 (binsearch, the
+       benchmark's sim workload) an eager [n * 8]-word timer table plus
+       per-node copies of these two closures took set-up from ~0.30 to
+       ~0.38 ms. *)
+    let now () = t.clock.time in
+    let search_forward () = Metrics.on_search_forward t.metrics in
+    t.ctxs <-
+      Array.init config.n (fun node -> make_ctx t ~now ~search_forward node);
     t.states <- Array.init config.n (fun node -> P.init t.ctxs.(node));
     t
 
@@ -331,7 +355,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     match Workload.next t.workload ~after with
     | None -> ()
     | Some (time, nodes) ->
-        push_arrival t ~time:(Stdlib.max time t.clock) nodes
+        push_arrival t ~time:(later time t.clock.time) nodes
 
   let schedule_crashes t =
     List.iter
@@ -357,12 +381,12 @@ module Make (P : Node_intf.PROTOCOL) = struct
   let chaos_down t node =
     match t.config.chaos with
     | None -> false
-    | Some inj -> Tr_chaos.Injector.node_down inj ~now:t.clock ~node
+    | Some inj -> Tr_chaos.Injector.node_down inj ~now:t.clock.time ~node
 
   let deliver t ~src ~dst ~msg =
     if not (t.crashed.(dst) || chaos_down t dst) then begin
       if Trace.enabled t.trace then
-        Trace.record t.trace ~time:t.clock
+        Trace.record t.trace ~time:t.clock.time
           (Trace.Delivered { src; dst; label = P.label msg });
       t.states.(dst) <- P.on_message t.ctxs.(dst) t.states.(dst) ~src msg
     end
@@ -374,10 +398,10 @@ module Make (P : Node_intf.PROTOCOL) = struct
          (token regeneration) resumes against its stale state. *)
       let resume =
         match t.config.chaos with
-        | None -> t.clock
-        | Some inj -> Tr_chaos.Injector.down_until inj ~now:t.clock ~node
+        | None -> t.clock.time
+        | Some inj -> Tr_chaos.Injector.down_until inj ~now:t.clock.time ~node
       in
-      if resume > t.clock then begin
+      if resume > t.clock.time then begin
         let e = acquire t in
         e.tag <- Timer;
         e.src <- node;
@@ -393,16 +417,16 @@ module Make (P : Node_intf.PROTOCOL) = struct
     List.iter
       (fun node ->
         if live node then begin
-          Metrics.on_request t.metrics ~time:t.clock ~node;
+          Metrics.on_request t.metrics ~time:t.clock.time ~node;
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock (Trace.Request { node });
+            Trace.record t.trace ~time:t.clock.time (Trace.Request { node });
           t.states.(node) <- P.on_request t.ctxs.(node) t.states.(node)
         end)
       nodes
 
   let crash t node =
     t.crashed.(node) <- true;
-    Trace.record t.trace ~time:t.clock (Trace.Crashed { node })
+    Trace.record t.trace ~time:t.clock.time (Trace.Crashed { node })
 
   let run t ~stop =
     initialize t;
@@ -410,7 +434,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     let continue = ref true in
     while !continue do
       if
-        t.clock > time_limit
+        t.clock.time > time_limit
         || Metrics.serves t.metrics >= serves_limit
         || Metrics.token_messages t.metrics >= token_limit
         (* Horizon check: with an [At_time] bound we must not pop events
@@ -422,7 +446,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         let time = Pqueue.top_time_exn t.queue in
         let e = Pqueue.pop_exn t.queue in
         t.events_processed <- t.events_processed + 1;
-        t.clock <- Stdlib.max t.clock time;
+        t.clock.time <- later t.clock.time time;
         (* Copy the fields out, recycle the record, then dispatch — the
            handler's own sends may reuse it immediately. *)
         match e.tag with
@@ -441,7 +465,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         | Arrival ->
             let nodes = e.nodes in
             release t e;
-            let batch_time = t.clock in
+            let batch_time = t.clock.time in
             arrive t nodes;
             schedule_next_arrival t ~after:batch_time
       end
@@ -451,5 +475,5 @@ module Make (P : Node_intf.PROTOCOL) = struct
     if node < 0 || node >= t.config.n then
       invalid_arg "Engine.request_now: node out of range";
     initialize t;
-    push_arrival t ~time:t.clock [ node ]
+    push_arrival t ~time:t.clock.time [ node ]
 end

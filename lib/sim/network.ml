@@ -88,7 +88,9 @@ let sample model rng ~src ~dst =
     | Exponential mean -> Rng.exponential rng ~mean
     | Per_link f -> f ~src ~dst
   in
-  Stdlib.max epsilon_delay raw
+  (* [Stdlib.max]'s own test without its polymorphic call: a NaN [raw]
+     passes through. *)
+  if epsilon_delay >= raw then epsilon_delay else raw
 
 let sample_delay t rng channel ~src ~dst =
   match channel with

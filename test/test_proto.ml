@@ -876,6 +876,132 @@ let prop_every_protocol_random_burst =
           serves o >= 40)
         all_protocols)
 
+(* ---------------- trap queue ---------------- *)
+
+(* The trap queue as first written, appending with [@] and keeping an
+   [ISet] for membership: the reference the two-list queue must match
+   operation for operation. *)
+module Ref_traps = struct
+  module ISet = Set.Make (Int)
+
+  type t = { fifo : int list; members : ISet.t }
+
+  let empty = { fifo = []; members = ISet.empty }
+  let is_empty t = t.fifo = []
+  let mem t r = ISet.mem r t.members
+
+  let push t r =
+    if mem t r then t
+    else { fifo = t.fifo @ [ r ]; members = ISet.add r t.members }
+
+  let pop t =
+    match t.fifo with
+    | [] -> None
+    | r :: rest -> Some (r, { fifo = rest; members = ISet.remove r t.members })
+
+  let to_list t = t.fifo
+  let size t = List.length t.fifo
+end
+
+module Traps = Tr_proto.Proto_util.Traps
+
+let check_traps what ~probes q r =
+  Alcotest.(check (list int)) (what ^ " to_list") (Ref_traps.to_list r)
+    (Traps.to_list q);
+  Alcotest.(check int) (what ^ " size") (Ref_traps.size r) (Traps.size q);
+  Alcotest.(check bool) (what ^ " is_empty") (Ref_traps.is_empty r)
+    (Traps.is_empty q);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (what ^ " mem") (Ref_traps.mem r id) (Traps.mem q id))
+    probes
+
+(* Pop both to empty; each pop must agree. Run on an old version, it
+   also checks persistence: newer versions were made from it since. *)
+let drain_traps what q r =
+  let rec go q r =
+    match (Traps.pop q, Ref_traps.pop r) with
+    | None, None -> ()
+    | Some (x, q), Some (y, r) ->
+        Alcotest.(check int) (what ^ " pop") y x;
+        go q r
+    | _ -> Alcotest.fail (what ^ ": one queue emptied first")
+  in
+  go q r
+
+let test_traps_model () =
+  let rng = Rng.create 41 in
+  (* Ids < 1024; half come from a window of 32 so that pushes of a
+     member, which must be no-ops, are frequent. *)
+  let draw () = if Rng.bool rng then Rng.int rng 32 else Rng.int rng 1024 in
+  let q = ref Traps.empty and r = ref Ref_traps.empty in
+  let saved = ref [] in
+  for step = 1 to 20_000 do
+    (* Mostly pushes in the first half, mostly pops in the second. *)
+    let push_bias = if step < 10_000 then 6 else 4 in
+    let id =
+      if Rng.int rng 10 < push_bias then begin
+        let id = draw () in
+        q := Traps.push !q id;
+        r := Ref_traps.push !r id;
+        id
+      end
+      else
+        match (Traps.pop !q, Ref_traps.pop !r) with
+        | None, None -> -1
+        | Some (x, q'), Some (y, r') ->
+            Alcotest.(check int) "pop" y x;
+            q := q';
+            r := r';
+            x
+        | _ -> Alcotest.fail "one queue emptied first"
+    in
+    check_traps "step" ~probes:[ id; draw () ] !q !r;
+    if step mod 500 = 0 then saved := (!q, !r) :: !saved
+  done;
+  List.iter
+    (fun (q, r) ->
+      check_traps "old version" ~probes:[ draw (); draw () ] q r;
+      drain_traps "old version" q r)
+    !saved;
+  drain_traps "final" !q !r
+
+(* ---------------- behaviour at benchmark scale ---------------- *)
+
+(* Binsearch and directed at N = 1024 under Figure 9's load, the scale
+   the benchmark runs at (the goldens are n = 8 or quick sweeps). The
+   expected values were captured from the list-append trap queue and the
+   boxed engine clock; any change to a decision the simulator takes
+   moves at least one of them. Floats are compared exactly. *)
+let pinned_at_scale protocol ~events ~tokens ~controls ~forwards ~p50 ~p99
+    ~mean () =
+  let o =
+    run_with protocol ~n:1024 ~seed:7 ~workload:(poisson 10.0)
+      ~stop:(Engine.After_serves 20_000) ()
+  in
+  let m = o.Tokenring.Runner.metrics in
+  let wait q = Tr_stats.Quantile.quantile (Metrics.waiting_quantiles m) q in
+  let exact = Alcotest.float 0.0 in
+  Alcotest.(check int) "serves" 20_000 (serves o);
+  Alcotest.(check int) "events" events o.Tokenring.Runner.events;
+  Alcotest.(check int) "token messages" tokens (Metrics.token_messages m);
+  Alcotest.(check int) "control messages" controls (Metrics.control_messages m);
+  Alcotest.(check int) "search forwards" forwards (Metrics.search_forwards m);
+  Alcotest.check exact "waiting p50" p50 (wait 0.5);
+  Alcotest.check exact "waiting p99" p99 (wait 0.99);
+  Alcotest.check exact "mean responsiveness" mean (mean_resp o)
+
+let test_binsearch_pinned_at_scale =
+  pinned_at_scale Tr_proto.Binsearch.protocol ~events:402_449 ~tokens:201_622
+    ~controls:180_825 ~forwards:180_822 ~p50:0x1.3fc45392d8ep+5
+    ~p99:0x1.e5232ce0965cfp+6 ~mean:0x1.2ed9a452e34f6p+3
+
+let test_directed_pinned_at_scale =
+  pinned_at_scale Tr_proto.Directed.protocol ~events:618_302 ~tokens:201_699
+    ~controls:396_592 ~forwards:198_296 ~p50:0x1.fcfa00a897p+5
+    ~p99:0x1.8683e0d724414p+7 ~mean:0x1.3da1ea4f17659p+3
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -989,6 +1115,16 @@ let () =
             test_membership_invalid_schedules;
         ]
         @ qsuite [ prop_membership_random_churn ] );
+      ( "traps",
+        [ Alcotest.test_case "model and persistence" `Quick test_traps_model ]
+      );
+      ( "scale",
+        [
+          Alcotest.test_case "binsearch N=1024 pinned" `Quick
+            test_binsearch_pinned_at_scale;
+          Alcotest.test_case "directed N=1024 pinned" `Quick
+            test_directed_pinned_at_scale;
+        ] );
       ( "cross-protocol",
         [
           Alcotest.test_case "everyone serves" `Quick

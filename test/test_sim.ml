@@ -865,6 +865,47 @@ let test_engine_large_timer_key () =
   Alcotest.(check (list int)) "key-97 fires once, key-2 unaffected" [ 2; 97 ]
     (EB.state t 0).BigKey.fired
 
+(* Allocation of the event path and of set-up, for BinarySearch at
+   N = 1024 under Figure 9's load (the benchmark's sim workload). Words
+   are minor + major - promoted, so an array allocated straight into the
+   major heap counts too. The bounds hold for the dev build, which
+   compiles with -opaque (no cross-module inlining). There the list-append
+   trap queue, the boxed clock and the eager timer table read 56 words
+   per event and 113 per node; the current code reads about 22 and 96. *)
+let words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_engine_allocation () =
+  let module P = (val Tr_proto.Binsearch.protocol) in
+  let module EB = Engine.Make (P) in
+  let n = 1024 in
+  let config =
+    {
+      (Engine.default_config ~n ~seed:7) with
+      workload = Workload.Global_poisson { mean_interarrival = 10.0 };
+    }
+  in
+  (* The first engine in a process also pays one-time costs; the bound
+     is on the cost every later [create] pays. *)
+  ignore (Sys.opaque_identity (EB.create config));
+  let w0 = words () in
+  let t = EB.create config in
+  let per_node = (words () -. w0) /. float_of_int n in
+  EB.run t ~stop:(Engine.After_serves 5_000);
+  let e0 = EB.events_processed t and w0 = words () in
+  EB.run t ~stop:(Engine.After_serves 25_000);
+  let per_event =
+    (words () -. w0) /. float_of_int (EB.events_processed t - e0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per event in steady state (bound 35)"
+       per_event)
+    true (per_event < 35.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per node in create (bound 100)" per_node)
+    true (per_node < 100.0)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -957,5 +998,7 @@ let () =
           Alcotest.test_case "trace window" `Quick test_engine_trace_window;
           Alcotest.test_case "large timer key" `Quick
             test_engine_large_timer_key;
+          Alcotest.test_case "allocation bounded" `Quick
+            test_engine_allocation;
         ] );
     ]
